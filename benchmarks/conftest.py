@@ -6,11 +6,12 @@ paper's qualitative bands on the produced rows (shape fidelity, not
 absolute numbers -- our substrate is a simulator, not the authors'
 testbed).
 
-The session also emits ``BENCH_results.json`` at the repo root: wall
+The session also updates ``BENCH_results.json`` at the repo root: wall
 times for every collected bench plus any extra measurements recorded
 through the ``bench_extra`` fixture (the batch-vs-scalar cold-grid
-timings live there), tagged with the git revision so committed numbers
-are traceable.
+timings live there).  Entries are merged by bench name, so a partial
+bench run replaces only the entries it produced, and each entry carries
+the git revision it was measured at so committed numbers are traceable.
 """
 
 from __future__ import annotations
@@ -84,11 +85,31 @@ def pytest_configure(config):
     config.stash[_EXTRA_KEY] = {}
 
 
+def merge_results(previous: dict, run: dict) -> dict:
+    """Fold one session's ``run`` payload into the ``previous`` file.
+
+    Benchmarks merge by ``name`` and extras by key; a re-measured entry
+    replaces the old one, every other entry is kept as it was.
+    """
+    sha = run["git_sha"]
+    merged = dict(previous, **{key: value for key, value in run.items()
+                               if key not in ("benchmarks", "extra")})
+    benchmarks = {entry["name"]: entry
+                  for entry in previous.get("benchmarks", [])}
+    for entry in run["benchmarks"]:
+        benchmarks[entry["name"]] = dict(entry, git_sha=sha)
+    merged["benchmarks"] = [benchmarks[name] for name in sorted(benchmarks)]
+    merged["extra"] = dict(previous.get("extra", {}), **{
+        key: dict(value, git_sha=sha) for key, value in run["extra"].items()
+    })
+    return merged
+
+
 def pytest_sessionfinish(session, exitstatus):
     config = session.config
     if getattr(config, "workerinput", None) is not None:
         return  # xdist worker: the controller writes the file
-    payload = {
+    run = {
         "git_sha": _git_sha(),
         "python": sys.version.split()[0],
         "engine": os.environ.get("REPRO_ENGINE", "auto"),
@@ -96,11 +117,16 @@ def pytest_sessionfinish(session, exitstatus):
         "benchmarks": _collect_benchmarks(config),
         "extra": config.stash.get(_EXTRA_KEY, {}),
     }
-    if not payload["benchmarks"] and not payload["extra"]:
+    if not run["benchmarks"] and not run["extra"]:
         return  # collection-only / non-bench invocation: nothing to report
     try:
-        _RESULTS_PATH.write_text(json.dumps(payload, indent=2,
-                                            sort_keys=True) + "\n",
-                                 encoding="utf-8")
+        previous = json.loads(_RESULTS_PATH.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        previous = {}  # first run, or an unreadable file: start afresh
+    try:
+        _RESULTS_PATH.write_text(
+            json.dumps(merge_results(previous, run), indent=2,
+                       sort_keys=True) + "\n",
+            encoding="utf-8")
     except OSError:
         pass  # a read-only checkout must not fail the bench run

@@ -54,7 +54,7 @@ def _batch_grid_seconds(grid: ConfigGrid, cluster) -> float:
     from repro.sim import vectorized
 
     layer_trace.cache_clear()  # validate exemplars re-derive their traces
-    vectorized._HASH_CACHE.clear()  # jitter memo: keep the run cold too
+    vectorized._cached_unit_hash.cache_clear()  # keep the jitter memo cold
     start = time.perf_counter()
     batch_execute(grid, cluster)
     return time.perf_counter() - start

@@ -66,7 +66,7 @@ def _reducers():
 
 def _cold():
     layer_trace.cache_clear()
-    vectorized._HASH_CACHE.clear()
+    vectorized._cached_unit_hash.cache_clear()
 
 
 def _stream_seconds(spec, cluster, jobs):

@@ -49,7 +49,7 @@ def _selection():
 
 def _cold():
     layer_trace.cache_clear()
-    vectorized._HASH_CACHE.clear()
+    vectorized._cached_unit_hash.cache_clear()
 
 
 def _timed_sweep(spec, cluster, prune):

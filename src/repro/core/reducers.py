@@ -19,7 +19,9 @@ output is **bit-identical** regardless of chunk size or arrival order.
   exact-partials accumulator for the running sum: the represented sum is
   *exact*, so the final correctly-rounded mean is independent of how the
   inputs were grouped -- a chunked fold reproduces a single
-  whole-grid fold bit for bit.
+  whole-grid fold bit for bit.  Each chunk's exact sum is computed with
+  integer mantissa sums (:func:`exact_sum_array`); merges combine the
+  per-chunk partials with :func:`exact_sum_add`.
 
 Metric names accepted everywhere: the four stored breakdown columns plus
 the derived properties of :class:`~repro.core.batch.BatchBreakdown`
@@ -52,6 +54,7 @@ __all__ = [
     "ArgExtrema",
     "Collect",
     "exact_sum_add",
+    "exact_sum_array",
     "exact_sum_merge",
     "exact_sum_value",
 ]
@@ -148,6 +151,64 @@ def exact_sum_add(partials: List[float], values: Sequence[float]
             x = hi
         partials[i:] = [x]
     return partials
+
+
+#: Bits of the low half of a 53-bit integer mantissa.  Both halves are
+#: at most 2**27 in magnitude, so a float64 sum of ``_EXACT_BLOCK`` of
+#: them stays within 2**53 and the per-exponent sums in
+#: :func:`exact_sum_array` are exact integers.
+_HALF_BITS = 26
+_EXACT_BLOCK = 1 << 26
+
+
+def exact_sum_array(values: np.ndarray) -> List[float]:
+    """Exact-partials accumulator for a float64 array, built in NumPy.
+
+    The returned partials hold the exact sum of ``values``, as
+    ``exact_sum_add([], values.tolist())`` does (the partials themselves
+    may differ; their exact sum does not).  Each value splits into an
+    integer mantissa and a binary exponent, the mantissas add exactly per
+    distinct exponent, and the exact total is emitted as a few
+    exactly-representable 53-bit limbs canonicalised by
+    :func:`exact_sum_add`.  Arrays holding inf/NaN (which have no integer
+    mantissa) or summing near the overflow range take the reference
+    fold.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        return []
+    with np.errstate(over="ignore"):
+        in_range = np.abs(values).sum() < 2.0 ** 1022
+    if not in_range:
+        return exact_sum_add([], values.tolist())
+    mantissas, exponents = np.frexp(values)
+    ints = (mantissas * 2.0 ** 53).astype(np.int64)  # exact, |ints| < 2**53
+    base = int(exponents.min())
+    bins = exponents - base
+    total = 0
+    for start in range(0, values.size, _EXACT_BLOCK):
+        block = ints[start:start + _EXACT_BLOCK]
+        # Floor shift and mask: block == (high << _HALF_BITS) + low.
+        for half, shift in ((block >> _HALF_BITS, _HALF_BITS),
+                            (block & ((1 << _HALF_BITS) - 1), 0)):
+            sums = np.bincount(bins[start:start + _EXACT_BLOCK],
+                               weights=half)
+            for index in np.flatnonzero(sums):
+                total += int(sums[index]) << (int(index) + shift)
+    if total == 0:
+        # The reference fold keeps -0.0 only when every value is -0.0.
+        return [-0.0 if np.signbit(values).all() else 0.0]
+    sign = -1 if total < 0 else 1
+    magnitude = abs(total)
+    scale = base - 53
+    limbs = []
+    while magnitude:
+        piece = magnitude & ((1 << 53) - 1)
+        if piece:
+            limbs.append(math.ldexp(sign * piece, scale))
+        magnitude >>= 53
+        scale += 53
+    return exact_sum_add([], limbs)
 
 
 def exact_sum_merge(a: List[float], b: List[float]) -> List[float]:
@@ -392,13 +453,19 @@ class ParetoFront(Reducer):
             return self.empty()
         xs = metric_values(self.metric_x, chunk.breakdown)
         ys = metric_values(self.metric_y, chunk.breakdown)
-        configs = chunk.config_rows(np.arange(len(chunk)))
-        entries = [
-            {"x": float(x), "y": float(y), "offset": int(offset),
-             "config": config}
-            for x, y, offset, config in zip(xs, ys, chunk.offsets, configs)
-        ]
-        return {"entries": self._frontier(entries)}
+        # _frontier's (x, y, offset) order; a row survives when its y is
+        # strictly below every y sorted before it.
+        order = np.lexsort((chunk.offsets, ys, xs))
+        ys_sorted = ys[order]
+        best_before = np.minimum.accumulate(
+            np.concatenate(([math.inf], ys_sorted[:-1])))
+        kept = order[ys_sorted < best_before]
+        return {"entries": [
+            {"x": x, "y": y, "offset": offset, "config": config}
+            for x, y, offset, config in zip(
+                xs[kept].tolist(), ys[kept].tolist(),
+                chunk.offsets[kept].tolist(), chunk.config_rows(kept))
+        ]}
 
     def merge(self, a: Dict[str, object],
               b: Dict[str, object]) -> Dict[str, object]:
@@ -518,7 +585,7 @@ class Histogram(Reducer):
             "under": int((values < self.lo).sum()),
             "over": int((values > self.hi).sum()),
             "count": int(values.shape[0]),
-            "sum_partials": exact_sum_add([], values.tolist()),
+            "sum_partials": exact_sum_array(values),
             "min": float(values.min()),
             "max": float(values.max()),
         }

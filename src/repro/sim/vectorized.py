@@ -25,7 +25,7 @@ task by task.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import threading
 from typing import List, Sequence, Tuple
 
@@ -63,24 +63,11 @@ def _as_i64(values) -> np.ndarray:
 #: small tuples, and sweep grids repeat them heavily (the same operator
 #: shape appears in several slots and parity partitions), so caching
 #: roughly halves cold-grid hashing and makes warm grids nearly free.
-_HASH_CACHE: dict = {}
-_HASH_CACHE_LIMIT = 1 << 18
-
-
+#: ``lru_cache`` bounds the memo and is safe to share across the threads
+#: ``Session.run_all(jobs=N)`` runs batch engines on.
+@functools.lru_cache(maxsize=1 << 18)
 def _cached_unit_hash(key: tuple) -> float:
-    value = _HASH_CACHE.get(key)
-    if value is None:
-        if len(_HASH_CACHE) >= _HASH_CACHE_LIMIT:
-            # Evict the oldest eighth (dict preserves insertion order)
-            # instead of dropping everything: streaming sweeps with
-            # per-config jitter keys cycle through far more keys than
-            # the limit, and a full clear would also throw away the
-            # small, hot set of shared-shape keys every chunk reuses.
-            evict = max(1, _HASH_CACHE_LIMIT // 8)
-            for stale in list(itertools.islice(_HASH_CACHE, evict)):
-                del _HASH_CACHE[stale]
-        value = _HASH_CACHE[key] = stable_unit_hash(*key)
-    return value
+    return stable_unit_hash(*key)
 
 
 # -- reusable stacking buffers -------------------------------------------

@@ -1,0 +1,48 @@
+"""``BENCH_results.json`` keeps every bench across partial bench runs."""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+_REPO_ROOT = Path(__file__).resolve().parent.parent
+
+_BENCH = '''
+def test_bench_{name}(benchmark, bench_extra):
+    benchmark(sum, range(10))
+    bench_extra["{name}"] = {{"value": {value}}}
+'''
+
+
+def _run_bench(root: Path, name: str) -> None:
+    path = [str(_REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"benchmarks/test_bench_{name}.py", "--benchmark-disable-gc"],
+        cwd=root, env=env, check=True, capture_output=True,
+    )
+
+
+def test_partial_runs_keep_each_others_entries(tmp_path):
+    bench_dir = tmp_path / "benchmarks"
+    bench_dir.mkdir()
+    shutil.copy(_REPO_ROOT / "benchmarks" / "conftest.py", bench_dir)
+    for value, name in enumerate(("first", "second")):
+        (bench_dir / f"test_bench_{name}.py").write_text(
+            _BENCH.format(name=name, value=value))
+    _run_bench(tmp_path, "first")
+    _run_bench(tmp_path, "second")
+    _run_bench(tmp_path, "first")  # re-measuring replaces, not duplicates
+
+    results = json.loads((tmp_path / "BENCH_results.json").read_text())
+    names = [entry["name"] for entry in results["benchmarks"]]
+    assert names == ["test_bench_first", "test_bench_second"]
+    assert results["extra"]["first"]["value"] == 0
+    assert results["extra"]["second"]["value"] == 1
+    entries = results["benchmarks"] + list(results["extra"].values())
+    assert all("git_sha" in entry for entry in entries)

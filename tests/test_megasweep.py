@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
+import functools
+import sys
 import threading
 
 import numpy as np
@@ -357,34 +358,86 @@ class TestParallelMapLazy:
         assert parallel_map(jittered, range(20), jobs=4) == list(range(20))
 
 
+def _small_hash_cache(monkeypatch, size: int):
+    """Rebind the jitter-hash memo to a ``size``-entry LRU of the same hash.
+
+    ``_jitter_factors`` looks the memo up as a module global, so batch
+    evaluation goes through the small cache, and eviction happens after
+    ``size`` keys instead of 2**18.
+    """
+    small = functools.lru_cache(maxsize=size)(
+        vectorized._cached_unit_hash.__wrapped__)
+    monkeypatch.setattr(vectorized, "_cached_unit_hash", small)
+    return small
+
+
 class TestVectorizedBuffers:
     def test_hash_cache_stays_bounded(self, monkeypatch):
-        monkeypatch.setattr(vectorized, "_HASH_CACHE", {})
-        monkeypatch.setattr(vectorized, "_HASH_CACHE_LIMIT", 64)
+        from repro.hardware.gemm import stable_unit_hash
+
+        assert vectorized._cached_unit_hash.cache_info().maxsize == 1 << 18
+        cached = _small_hash_cache(monkeypatch, 64)
         values = {}
         for index in range(500):
             key = ("gemm", index, index + 1, index + 2, 0)
-            values[key] = vectorized._cached_unit_hash(key)
-            assert len(vectorized._HASH_CACHE) <= 64
-        # survivors still return correct values after evictions
-        from repro.hardware.gemm import stable_unit_hash
-
-        for key in itertools.islice(vectorized._HASH_CACHE, 10):
-            assert vectorized._cached_unit_hash(key) \
-                == stable_unit_hash(*key)
+            values[key] = cached(key)
+            assert values[key] == stable_unit_hash(*key)
+            assert cached.cache_info().currsize <= 64
         # recomputing an evicted key reproduces the original value
         evicted = ("gemm", 0, 1, 2, 0)
-        assert vectorized._cached_unit_hash(evicted) == values[evicted]
+        misses = cached.cache_info().misses
+        assert cached(evicted) == values[evicted]
+        assert cached.cache_info().misses == misses + 1
 
     def test_eviction_keeps_recent_entries(self, monkeypatch):
-        monkeypatch.setattr(vectorized, "_HASH_CACHE", {})
-        monkeypatch.setattr(vectorized, "_HASH_CACHE_LIMIT", 8)
+        cached = _small_hash_cache(monkeypatch, 8)
         keys = [("ew", index, 0) for index in range(8)]
         for key in keys:
-            vectorized._cached_unit_hash(key)
-        vectorized._cached_unit_hash(("ew", 999, 0))  # triggers eviction
-        assert keys[-1] in vectorized._HASH_CACHE  # newest survivor kept
-        assert keys[0] not in vectorized._HASH_CACHE  # oldest evicted
+            cached(key)
+        cached(keys[0])  # touch the oldest: now most recently used
+        cached(("ew", 999, 0))  # full: evicts the least recently used
+        misses = cached.cache_info().misses
+        cached(keys[-1])  # newest insertion survives
+        cached(keys[0])  # recently used survives
+        assert cached.cache_info().misses == misses
+        cached(keys[1])  # least recently used was evicted
+        assert cached.cache_info().misses == misses + 1
+
+    def test_concurrent_eviction_is_thread_safe(self, monkeypatch):
+        # Batch engines run on threads under Session.run_all(jobs=N);
+        # evictions racing on a shared memo once raised KeyError.
+        from repro.hardware.gemm import stable_unit_hash
+
+        _small_hash_cache(monkeypatch, 16)
+        key_sets = [[("gemm", thread, index, index + 1, 0)
+                     for index in range(200)] for thread in range(8)]
+        errors = []
+
+        def hammer(keys):
+            try:
+                expected = vectorized._jitter_factors(0.05, keys)
+                for _ in range(20):
+                    np.testing.assert_array_equal(
+                        vectorized._jitter_factors(0.05, keys), expected)
+                u = np.array([stable_unit_hash(*key) for key in keys])
+                np.testing.assert_array_equal(
+                    expected, 1.0 + 0.05 * (2.0 * u - 1.0))
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(keys,))
+                       for keys in key_sets]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_stack_columns_matches_concatenate(self):
         columns = [np.arange(8, dtype=np.int64) * factor

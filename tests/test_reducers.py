@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import reducers
 from repro.core.batch import BatchBreakdown
 from repro.core.reducers import (
     ArgExtrema,
@@ -18,6 +19,7 @@ from repro.core.reducers import (
     ParetoFront,
     TopK,
     exact_sum_add,
+    exact_sum_array,
     exact_sum_merge,
     exact_sum_value,
     metric_values,
@@ -33,13 +35,32 @@ ALL_REDUCERS = (
 )
 
 
+#: Reducers whose per-chunk observe is vectorized, run on tie-heavy rows.
+TIED_REDUCERS = (
+    ParetoFront(),
+    ParetoFront("compute_time", "serialized_comm_time"),
+    Histogram("iteration_time", bins=8, lo=0.0, hi=0.2),
+)
+
+
 def synthetic_chunks(n_rows: int = 60, n_chunks: int = 7,
-                     seed: int = 11) -> list:
-    """Deterministic synthetic evaluated chunks with messy float values."""
+                     seed: int = 11, ties: bool = False) -> list:
+    """Deterministic synthetic evaluated chunks with messy float values.
+
+    ``ties=True`` rounds the inputs to a few levels, so many rows share
+    an x, an (x, y) pair or every metric, and scatters the raw-grid
+    offsets so tie-breaks cannot follow row order.
+    """
     rng = random.Random(seed)
     compute = np.array([rng.uniform(1e-5, 1e-1) for _ in range(n_rows)])
     serialized = np.array([rng.uniform(0, 5e-2) for _ in range(n_rows)])
     overlapped = np.array([rng.uniform(0, 2e-2) for _ in range(n_rows)])
+    offsets = np.arange(n_rows, dtype=np.int64)
+    if ties:
+        compute = np.round(compute, 2)
+        serialized = np.round(serialized, 2)
+        overlapped = np.round(overlapped, 2)
+        offsets = np.random.default_rng(seed).permutation(offsets) * 3
     iteration = compute + serialized + overlapped * 0.5
     rows_per = [n_rows // n_chunks] * n_chunks
     rows_per[-1] += n_rows - sum(rows_per)
@@ -56,7 +77,7 @@ def synthetic_chunks(n_rows: int = 60, n_chunks: int = 7,
             "dp": np.full(rows, 2, dtype=np.int64),
         }
         chunks.append(EvaluatedChunk(
-            offsets=np.arange(lo, hi, dtype=np.int64),
+            offsets=offsets[lo:hi],
             columns=columns,
             breakdown=BatchBreakdown(
                 compute_time=compute[lo:hi],
@@ -112,6 +133,19 @@ class TestMergeLaws:
         fine = synthetic_chunks(n_rows=60, n_chunks=12)
         coarse = synthetic_chunks(n_rows=60, n_chunks=2)
         assert fold(reducer, fine) == fold(reducer, coarse)
+
+    @pytest.mark.parametrize("reducer", TIED_REDUCERS,
+                             ids=lambda r: r.label)
+    def test_tied_rows_shuffled_and_rechunked(self, reducer):
+        reference = fold(reducer, synthetic_chunks(n_rows=240, n_chunks=1,
+                                                   ties=True))
+        for n_chunks in (2, 7, 24):
+            chunks = synthetic_chunks(n_rows=240, n_chunks=n_chunks,
+                                      ties=True)
+            for seed in range(3):
+                order = list(range(n_chunks))
+                random.Random(seed).shuffle(order)
+                assert fold(reducer, chunks, order) == reference
 
     @pytest.mark.parametrize("reducer", ALL_REDUCERS,
                              ids=lambda r: r.label)
@@ -177,6 +211,162 @@ class TestParetoFront:
         entries = fold(ParetoFront(), chunks)["entries"]
         assert len(entries) == 1
         assert entries[0]["offset"] == 0
+
+
+def reference_frontier(reducer: ParetoFront,
+                       chunk: EvaluatedChunk) -> dict:
+    """Per-row ``observe``: every row through the ``_frontier`` scan."""
+    xs = metric_values(reducer.metric_x, chunk.breakdown)
+    ys = metric_values(reducer.metric_y, chunk.breakdown)
+    configs = chunk.config_rows(np.arange(len(chunk)))
+    return {"entries": ParetoFront._frontier([
+        {"x": float(x), "y": float(y), "offset": int(offset),
+         "config": config}
+        for x, y, offset, config in zip(xs, ys, chunk.offsets, configs)
+    ])}
+
+
+def chunk_of(compute, serialized, offsets=None,
+             iteration=None) -> EvaluatedChunk:
+    """One chunk with the given compute and serialized-comm columns."""
+    compute = np.asarray(compute, dtype=np.float64)
+    rows = compute.shape[0]
+    if iteration is None:
+        iteration = compute + np.asarray(serialized) * 1.5
+    if offsets is None:
+        offsets = np.random.default_rng(rows).permutation(rows) * 5
+    columns = {name: np.arange(rows, dtype=np.int64) + index
+               for index, name in enumerate(
+                   ("hidden", "seq_len", "batch", "tp", "dp"))}
+    return EvaluatedChunk(
+        offsets=np.asarray(offsets, dtype=np.int64),
+        columns=columns,
+        breakdown=BatchBreakdown(
+            compute_time=compute,
+            serialized_comm_time=np.asarray(serialized, dtype=np.float64),
+            overlapped_comm_time=np.zeros(rows),
+            iteration_time=np.asarray(iteration, dtype=np.float64),
+        ),
+    )
+
+
+class TestParetoObserveMatchesFrontier:
+    """The vectorized observe against the per-row sort-and-scan."""
+
+    REDUCERS = (ParetoFront(),
+                ParetoFront("compute_time", "serialized_comm_time"),
+                ParetoFront("serialized_comm_time", "compute_time"))
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(5)
+        levels = rng.uniform(0, 1, size=4)
+        return {
+            "equal-x": chunk_of(np.full(50, 0.25),
+                                rng.choice(levels, size=50)),
+            "equal-xy": chunk_of(np.repeat(levels[:3], 20),
+                                 np.repeat(levels[1:], 20)),
+            "duplicates": chunk_of(np.full(30, 0.5), np.full(30, 0.125)),
+            "signed-zeros": chunk_of(rng.choice([0.0, -0.0, 1.0], size=40),
+                                     rng.choice([0.0, -0.0, 2.0], size=40)),
+            "single-row": chunk_of([0.3], [0.7], offsets=[42]),
+            "messy": chunk_of(rng.uniform(0, 1, size=300),
+                              rng.uniform(0, 1, size=300)),
+            "tied-grid": synthetic_chunks(n_rows=300, n_chunks=1,
+                                          ties=True)[0],
+        }
+
+    @pytest.mark.parametrize("reducer", REDUCERS, ids=lambda r: r.label)
+    def test_observe_matches_reference(self, reducer):
+        for name, chunk in self.cases().items():
+            observed = reducer.observe(chunk)
+            # repr also tells -0.0 from 0.0 and int offsets from floats.
+            assert repr(observed) == repr(reference_frontier(reducer,
+                                                             chunk)), name
+
+    def test_ties_keep_lowest_offset(self):
+        chunk = chunk_of(np.full(6, 1.0), np.full(6, 2.0),
+                         offsets=[9, 4, 7, 2, 8, 5])
+        entries = ParetoFront("compute_time",
+                              "serialized_comm_time").observe(chunk)
+        assert [entry["offset"] for entry in entries["entries"]] == [2]
+
+
+class TestExactSumArray:
+    """Integer-mantissa chunk sums against the Shewchuk reference."""
+
+    @staticmethod
+    def assert_matches_reference(values):
+        values = np.asarray(values, dtype=np.float64)
+        reference = exact_sum_add([], values.tolist())
+        partials = exact_sum_array(values)
+        assert repr(exact_sum_value(partials)) \
+            == repr(exact_sum_value(reference))
+        if all(map(math.isfinite, reference)):
+            # Same exact value, not just the same rounding.
+            assert exact_sum_value(exact_sum_merge(
+                reference, [-p for p in partials])) == 0.0
+        else:
+            assert repr(partials) == repr(reference)
+        # The histogram reports the same sum either way.
+        hist = Histogram("iteration_time", bins=4, lo=-1.0, hi=1.0)
+        rows = values.shape[0]
+        chunk = chunk_of(np.zeros(rows), np.zeros(rows), iteration=values)
+        observed = hist.observe(chunk)
+        legacy = dict(observed, sum_partials=reference)
+        assert repr(hist.finalize(observed)) == repr(hist.finalize(legacy))
+
+    def test_mixed_signs_and_cancellation(self):
+        self.assert_matches_reference([1e16, 1.0, -1e16, 1e-8, 3.0, -2.0]
+                                      * 50)
+        rng = np.random.default_rng(1)
+        half = rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, size=200)
+        self.assert_matches_reference(np.concatenate([half, -half[::-1],
+                                                      [1e-30]]))
+        self.assert_matches_reference([1.0, -1.0] * 10)  # exact zero
+
+    def test_subnormals(self):
+        self.assert_matches_reference([5e-324] * 7)
+        self.assert_matches_reference([5e-324, -5e-324, 1e-310, 2.2e-308,
+                                       -1e-320, 3e-323])
+        self.assert_matches_reference([-5e-324])
+
+    def test_magnitude_spread(self):
+        rng = np.random.default_rng(2)
+        values = (rng.choice([-1.0, 1.0], size=400)
+                  * 10.0 ** rng.uniform(-300, 300, size=400))
+        self.assert_matches_reference(values)
+
+    def test_negative_zero_chunk(self):
+        # Partials keep the reference's -0.0, so finalize gets whatever
+        # sign of zero this Python's fsum gives for it.
+        partials = exact_sum_array(np.array([-0.0] * 5))
+        assert repr(partials) == repr(exact_sum_add([], [-0.0] * 5)) \
+            == "[-0.0]"
+        self.assert_matches_reference([-0.0] * 5)
+        self.assert_matches_reference([-0.0, 0.0, -0.0])
+
+    def test_non_finite_takes_reference_fold(self):
+        for values in ([math.inf, 1.0], [-math.inf, 2.0, 3.0],
+                       [math.inf, -math.inf], [math.nan, 1.0],
+                       [1e308, 1e308, -1e308]):
+            self.assert_matches_reference(values)
+
+    def test_fuzzed_arrays(self):
+        rng = np.random.default_rng(3)
+        for trial in range(300):
+            size = int(rng.integers(1, 120))
+            spread = rng.uniform(0, 40) if trial % 2 else rng.uniform(0, 600)
+            values = (rng.normal(size=size)
+                      * 2.0 ** rng.uniform(-spread / 2, spread / 2,
+                                           size=size))
+            self.assert_matches_reference(values)
+
+    def test_blocked_accumulation(self, monkeypatch):
+        monkeypatch.setattr(reducers, "_EXACT_BLOCK", 7)
+        rng = np.random.default_rng(4)
+        self.assert_matches_reference(rng.normal(size=100) * 1e5)
+        self.assert_matches_reference([-0.0] * 20)
 
 
 class TestHistogram:
