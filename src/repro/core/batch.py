@@ -440,26 +440,21 @@ def _slot_durations(slots: Sequence[_Slot], grid: ConfigGrid,
     (all GEMMs together, element-wise ops per jitter kind, collectives
     per overlap class): the timing formulas are element-wise, so the
     stacking changes the fixed NumPy overhead -- from per-slot to
-    per-partition -- without touching any computed value.  Stacks go
-    through :func:`repro.sim.vectorized.stack_columns`, which reuses
-    one scratch buffer per argument position across chunks; each stack
-    is consumed by its timing-model call before the tag is reused.
+    per-partition -- without touching any computed value.  Each timing
+    model then evaluates only the stack's distinct operator shapes.
     """
     n = int(grid.hidden.shape[0])
     durations: List[Optional[np.ndarray]] = [None] * len(slots)
-
-    def stack(tag: str, columns: List[np.ndarray]) -> np.ndarray:
-        return vectorized.stack_columns(tag, columns, n)
 
     gemms = [i for i, slot in enumerate(slots)
              if isinstance(slot, _GemmSlot)]
     if gemms:
         times = vectorized.gemm_times(
-            stack("gemm.m", [_slot_column(slots[i].m, n) for i in gemms]),
-            stack("gemm.n", [_slot_column(slots[i].n, n) for i in gemms]),
-            stack("gemm.k", [_slot_column(slots[i].k, n) for i in gemms]),
-            stack("gemm.batch", [_slot_column(slots[i].batch, n)
-                                 for i in gemms]),
+            np.concatenate([_slot_column(slots[i].m, n) for i in gemms]),
+            np.concatenate([_slot_column(slots[i].n, n) for i in gemms]),
+            np.concatenate([_slot_column(slots[i].k, n) for i in gemms]),
+            np.concatenate([_slot_column(slots[i].batch, n)
+                            for i in gemms]),
             cluster.device, grid.precision, timing.gemm,
         )
         for row, i in enumerate(gemms):
@@ -472,8 +467,8 @@ def _slot_durations(slots: Sequence[_Slot], grid: ConfigGrid,
                                  []).append(i)
     for (kind, rw_factor), indices in ew_groups.items():
         times = vectorized.elementwise_times(
-            stack("ew.elements", [_slot_column(slots[i].elements, n)
-                                  for i in indices]),
+            np.concatenate([_slot_column(slots[i].elements, n)
+                            for i in indices]),
             cluster.device, grid.precision, rw_factor, kind,
             timing.elementwise,
         )
@@ -487,10 +482,9 @@ def _slot_durations(slots: Sequence[_Slot], grid: ConfigGrid,
         if not comms:
             continue
         times = vectorized.cluster_all_reduce_times(
-            stack("comm.nbytes", [_slot_column(slots[i].nbytes, n)
-                                  for i in comms]),
-            stack("comm.group", [_group_sizes(grid, slots[i])
-                                 for i in comms]),
+            np.concatenate([_slot_column(slots[i].nbytes, n)
+                            for i in comms]),
+            np.concatenate([_group_sizes(grid, slots[i]) for i in comms]),
             cluster, overlapped=overlapped,
         )
         for row, i in enumerate(comms):

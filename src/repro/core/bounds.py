@@ -244,9 +244,11 @@ def _slot_bound_durations(
     """Per-slot (lower, upper) duration arrays, stacked per family.
 
     Mirrors :func:`repro.core.batch._slot_durations` slot-for-slot, with
-    the exact timing models replaced by the family envelopes.  Stacking
-    uses dedicated scratch tags so bound evaluation never clobbers an
-    in-flight engine stack.
+    the exact timing models replaced by the family envelopes.  The
+    jitter-free element-wise and collective envelopes call the per-row
+    evaluators of :mod:`repro.sim.vectorized` directly: with no jitter
+    to hash, their arithmetic is cheaper than factorizing the rows into
+    distinct shapes.
     """
     n = int(grid.hidden.shape[0])
     lowers: List[Optional[np.ndarray]] = [None] * len(slots)
@@ -318,7 +320,7 @@ def _slot_bound_durations(
         if isinstance(slot, _EwSlot):
             ew_groups.setdefault((slot.kind, slot.rw_factor), []).append(i)
     for (kind, rw_factor), indices in ew_groups.items():
-        base = vectorized.elementwise_times(
+        base = vectorized._elementwise_times(
             stack([compress(slots[i].elements) for i in indices],
                   n_unique),
             cluster.device, grid.precision, rw_factor, kind, ew_quiet,
@@ -338,10 +340,10 @@ def _slot_bound_durations(
                  and slot.overlappable == overlapped]
         if not comms:
             continue
-        base = vectorized.cluster_all_reduce_times(
-            stack([slots[i].nbytes for i in comms], n),
+        base = vectorized._cluster_all_reduce_times(
+            stack([slots[i].nbytes for i in comms], n).astype(np.float64),
             stack([_group_sizes(grid, slots[i]) for i in comms], n),
-            quiet_cluster, overlapped=overlapped,
+            quiet_cluster, overlapped,
         )
         unstack(base * comm_lo, comms, lowers)
         unstack(base * comm_up, comms, uppers)

@@ -9,10 +9,25 @@ scalar models of :mod:`repro.hardware` bit-for-bit:
 * the deterministic shape-keyed jitter is computed through the same
   :func:`repro.hardware.gemm.stable_unit_hash` on keys built from Python
   ints (NumPy 2.x scalars ``repr`` differently and would corrupt the
-  hashes);
+  hashes).  Building a key and hashing it costs far more per row than
+  the array arithmetic, so the hashes are memoized across calls and,
+  within a call, computed once per distinct shape (below);
 * integer helpers (`ceil`, power-of-two rounding, tree depth) use exact
   integer arithmetic that coincides with the scalar models' float-based
   forms over the representable range.
+
+Dedupe -> evaluate -> gather: :func:`gemm_times`,
+:func:`elementwise_times` and :func:`cluster_all_reduce_times` broadcast
+their inputs, factorize the rows (by bit pattern) into distinct operator
+shapes, run the formulas -- jitter key building and hashing included --
+on the distinct rows only, and gather the results back through the
+inverse index.  Sweep grids repeat shapes heavily (in the pruned
+design-space search, 1 in 11 stacked GEMM rows, 1 in 27 collective rows
+and 1 in 65 element-wise rows is distinct), and every formula is
+element-wise, so the gathered result is bit-identical to evaluating
+every row.  The per-row evaluators (``_gemm_times`` and friends) are
+what :mod:`repro.core.bounds` calls for its jitter-free envelopes, whose
+cheap arithmetic would not repay the factorization.
 
 :func:`closed_form_breakdown` replaces the discrete-event scheduler for
 the fixed two-stream Transformer-layer trace: with FIFO streams and a
@@ -26,8 +41,7 @@ task by task.
 from __future__ import annotations
 
 import functools
-import threading
-from typing import List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +65,6 @@ __all__ = [
     "all_gather_times",
     "cluster_all_reduce_times",
     "closed_form_breakdown",
-    "stack_columns",
 ]
 
 
@@ -70,39 +83,6 @@ def _cached_unit_hash(key: tuple) -> float:
     return stable_unit_hash(*key)
 
 
-# -- reusable stacking buffers -------------------------------------------
-
-#: Thread-local pool of int64 stacking buffers, keyed by call-site tag.
-#: Grids are evaluated slot-kind by slot-kind with the same stacked
-#: shapes chunk after chunk; reusing one buffer per (tag) removes the
-#: per-chunk allocation tax without sharing state across threads (each
-#: sweep worker process likewise gets its own pool).
-_SCRATCH = threading.local()
-
-
-def stack_columns(tag: str, columns: Sequence[np.ndarray],
-                  n: int) -> np.ndarray:
-    """Stack per-slot length-``n`` columns into one reused flat buffer.
-
-    Bit-identical to ``np.concatenate(columns)`` for int64 inputs; the
-    returned array is a view of a thread-local scratch buffer, valid
-    only until the next :func:`stack_columns` call with the same
-    ``tag`` -- callers must consume it (e.g. feed it to a timing
-    model) before stacking into that tag again.
-    """
-    pool = getattr(_SCRATCH, "pool", None)
-    if pool is None:
-        pool = _SCRATCH.pool = {}
-    needed = len(columns) * n
-    buffer = pool.get(tag)
-    if buffer is None or buffer.shape[0] < needed:
-        buffer = pool[tag] = np.empty(max(needed, 1), dtype=np.int64)
-    out = buffer[:needed]
-    for row, column in enumerate(columns):
-        out[row * n:(row + 1) * n] = column
-    return out
-
-
 def _jitter_factors(amplitude: float, keys: Sequence[tuple]) -> np.ndarray:
     """Per-element ``1 + amp * (2u - 1)`` multipliers for a key column."""
     u = np.fromiter(
@@ -111,6 +91,57 @@ def _jitter_factors(amplitude: float, keys: Sequence[tuple]) -> np.ndarray:
         count=len(keys),
     )
     return 1.0 + amplitude * (2.0 * u - 1.0)
+
+
+# -- dedupe -> evaluate -> gather ----------------------------------------
+
+
+def _unique_rows(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray,
+                                                          np.ndarray]:
+    """Factorize equal-length 1-D 8-byte columns into distinct rows.
+
+    Returns ``(first, inverse)``: the index of one occurrence of each
+    distinct row, and each row's position in ``first``.  Values compare
+    by bit pattern, so ``0.0`` and ``-0.0`` are distinct rows.
+
+    Each column's ``np.unique`` codes are packed into one int64 key,
+    which a last ``np.unique`` factorizes.  Every key stays below
+    ``bound``, the product of the packed cardinalities; the running key
+    is refactorized whenever the next column could push ``bound`` to
+    2**62, so it never overflows however many columns or distinct
+    values there are.
+    """
+    distinct, code = np.unique(columns[0].view(np.int64),
+                               return_inverse=True)
+    bound = len(distinct)
+    for column in columns[1:]:
+        values, inverse = np.unique(column.view(np.int64),
+                                    return_inverse=True)
+        if bound * len(values) >= 1 << 62:
+            distinct, code = np.unique(code, return_inverse=True)
+            bound = len(distinct)
+        code = code * len(values) + inverse
+        bound *= len(values)
+    if len(columns) > 1:
+        distinct, code = np.unique(code, return_inverse=True)
+        bound = len(distinct)
+    first = np.empty(bound, dtype=np.int64)
+    first[code] = np.arange(len(code))
+    return first, code
+
+
+def _per_distinct_row(evaluate: Callable[..., np.ndarray],
+                      *columns: np.ndarray) -> np.ndarray:
+    """``evaluate(*columns)``, computed once per distinct broadcast row.
+
+    ``evaluate`` must be element-wise over its columns: the gathered
+    result is then bit-identical to evaluating every row.
+    """
+    columns = np.broadcast_arrays(*columns)
+    flat = [column.ravel() for column in columns]
+    first, inverse = _unique_rows(flat)
+    unique = evaluate(*(column[first] for column in flat))
+    return unique[inverse].reshape(columns[0].shape)
 
 
 # -- GEMM ---------------------------------------------------------------
@@ -186,7 +217,16 @@ def gemm_times(
     model: GemmTimingModel,
 ) -> np.ndarray:
     """Vectorized :meth:`GemmTimingModel.time` over shape arrays."""
-    m, n, k, batch = (_as_i64(m), _as_i64(n), _as_i64(k), _as_i64(batch))
+    return _per_distinct_row(
+        functools.partial(_gemm_times, device=device, precision=precision,
+                          model=model),
+        _as_i64(m), _as_i64(n), _as_i64(k), _as_i64(batch),
+    )
+
+
+def _gemm_times(m: np.ndarray, n: np.ndarray, k: np.ndarray,
+                batch: np.ndarray, device: DeviceSpec, precision: Precision,
+                model: GemmTimingModel) -> np.ndarray:
     eff = _gemm_efficiency_for_tile(m, n, k, batch, device,
                                     model.TILE_CANDIDATES[0], model)
     for tile in model.TILE_CANDIDATES[1:]:
@@ -223,7 +263,17 @@ def elementwise_times(
     model: ElementwiseTimingModel,
 ) -> np.ndarray:
     """Vectorized :meth:`ElementwiseTimingModel.time` over element counts."""
-    elements = _as_i64(elements)
+    return _per_distinct_row(
+        functools.partial(_elementwise_times, device=device,
+                          precision=precision, rw_factor=rw_factor,
+                          kind=kind, model=model),
+        _as_i64(elements),
+    )
+
+
+def _elementwise_times(elements: np.ndarray, device: DeviceSpec,
+                       precision: Precision, rw_factor: float, kind: str,
+                       model: ElementwiseTimingModel) -> np.ndarray:
     # Scalar path: int(elements * precision.bytes * rw_factor).  The int
     # product is exact in float64 for the sizes in play, so truncation
     # reproduces the int() conversion.
@@ -353,10 +403,16 @@ def cluster_all_reduce_times(
     hierarchical (reduce-scatter / inter-node all-reduce / all-gather)
     entries, mirroring the scalar dispatch.
     """
-    nbytes = np.asarray(np.broadcast_arrays(
-        np.asarray(nbytes, dtype=np.float64), _as_i64(group_size)
-    )[0], dtype=np.float64)
-    group = np.broadcast_arrays(nbytes, _as_i64(group_size))[1]
+    return _per_distinct_row(
+        functools.partial(_cluster_all_reduce_times, cluster=cluster,
+                          overlapped=overlapped),
+        np.asarray(nbytes, dtype=np.float64), _as_i64(group_size),
+    )
+
+
+def _cluster_all_reduce_times(nbytes: np.ndarray, group: np.ndarray,
+                              cluster: ClusterSpec,
+                              overlapped: bool) -> np.ndarray:
     out = np.zeros(nbytes.shape, dtype=np.float64)
     active = (group > 1) & (nbytes > 0)
     if cluster.inter_link is None:
@@ -451,9 +507,3 @@ def closed_form_breakdown(
     iteration = np.maximum(blocking, async_finish) if has_async else blocking
     return compute, serialized, overlapped, iteration
 
-
-def scalar_durations_reference(kinds: List[str],
-                               durations: List[float]) -> List[float]:
-    """Tiny self-check helper used by tests (single-config closed form)."""
-    arrays = [np.asarray([d], dtype=np.float64) for d in durations]
-    return [float(a[0]) for a in closed_form_breakdown(kinds, arrays)]
