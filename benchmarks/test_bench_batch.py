@@ -53,7 +53,7 @@ def _scalar_grid_seconds(grid: ConfigGrid, cluster) -> float:
 def _batch_grid_seconds(grid: ConfigGrid, cluster) -> float:
     from repro.sim import vectorized
 
-    layer_trace.cache_clear()  # validate exemplars re-derive their traces
+    layer_trace.cache_clear()  # builds no traces; keeps the scalar side cold
     vectorized._cached_unit_hash.cache_clear()  # keep the jitter memo cold
     start = time.perf_counter()
     batch_execute(grid, cluster)

@@ -10,10 +10,10 @@ grid can be evaluated at once:
 * :class:`ConfigGrid` holds the (H, SL, B, TP, DP) columns as int64
   arrays;
 * the grid is partitioned by ``(TP > 1, DP > 1)`` parity, and each
-  partition's slot list is built once by mirroring
-  :mod:`repro.models.layers` (and cross-checked against a real
-  :func:`~repro.models.trace.layer_trace` exemplar, so structural drift
-  fails loudly instead of silently diverging);
+  partition's slot list comes from :func:`repro.models.layers.layer_slots`
+  over the partition's columns -- the same declaration the scalar
+  :func:`~repro.models.trace.layer_trace` converts into operators, so
+  the two engines cannot disagree on the layer's structure;
 * per-slot duration arrays come from the vectorized timing mirrors in
   :mod:`repro.sim.vectorized` (ground truth) or from the fitted
   :class:`~repro.core.projection.OperatorModelSuite` scaling laws
@@ -30,7 +30,7 @@ for irregular traces (multi-layer pipelines, MoE, mixed precisions).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,11 +42,13 @@ from repro.core.hyperparams import (
 )
 from repro.core.projection import OperatorModelSuite, _ring_factor
 from repro.hardware.cluster import ClusterSpec
-from repro.models.graph import (
-    CommGroup,
-    CommOp,
-    ElementwiseOp,
-    GemmOp,
+from repro.models.graph import CollectiveKind, CommGroup, Phase
+from repro.models.layers import (
+    CommSlot,
+    ElementwiseSlot,
+    GemmSlot,
+    Slot,
+    layer_slots,
 )
 from repro.models.trace import layer_trace
 from repro.sim import vectorized
@@ -75,7 +77,9 @@ class ConfigGrid:
     """Arrays of sweep configurations, one entry per grid point.
 
     All columns share one length; ``precision`` is uniform across the
-    grid (mixed-precision grids fall back to the scalar engine).
+    grid (mixed-precision grids fall back to the scalar engine).  A grid
+    carries the dims :func:`repro.models.layers.layer_slots` declares a
+    layer's operators over.
     """
 
     hidden: np.ndarray
@@ -239,199 +243,25 @@ class ConfigGrid:
         return model, parallel
 
 
-# -- slot mirror of repro.models.layers ---------------------------------
+# -- per-slot durations -------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class _GemmSlot:
-    name: str
-    m: np.ndarray
-    n: np.ndarray
-    k: np.ndarray
-    batch: Union[np.ndarray, int] = 1
-    has_weights: bool = True
-    backward: bool = False
-
-
-@dataclass(frozen=True, eq=False)
-class _EwSlot:
-    name: str
-    elements: np.ndarray
-    rw_factor: float
-    kind: str
-
-
-@dataclass(frozen=True, eq=False)
-class _CommSlot:
-    name: str
-    nbytes: np.ndarray
-    group: str  # "tp" | "dp"
-    overlappable: bool
-
-
-_Slot = Union[_GemmSlot, _EwSlot, _CommSlot]
-
-
-def _attention_forward_slots(grid: ConfigGrid,
-                             tp_parallel: bool) -> List[_Slot]:
-    tokens = grid.batch * grid.seq_len
-    heads = grid.num_heads // grid.tp
-    head_dim = grid.hidden // grid.num_heads
-    sl = grid.seq_len
-    act_bytes = grid.precision.bytes * grid.batch * grid.seq_len * grid.hidden
-    bsl_h = grid.batch * grid.seq_len * grid.hidden
-    slots: List[_Slot] = [
-        _EwSlot("attn.ln", bsl_h, 3.0, "layernorm"),
-        _GemmSlot("attn.qkv", m=tokens, k=grid.hidden,
-                  n=3 * grid.hidden // grid.tp, batch=1),
-        _GemmSlot("attn.scores", m=sl, n=sl, k=head_dim,
-                  batch=grid.batch * heads, has_weights=False),
-        _EwSlot("attn.softmax", grid.batch * heads * sl * sl, 3.0,
-                "softmax"),
-        _GemmSlot("attn.context", m=sl, n=head_dim, k=sl,
-                  batch=grid.batch * heads, has_weights=False),
-        _GemmSlot("attn.out_proj", m=tokens, k=grid.hidden // grid.tp,
-                  n=grid.hidden),
-    ]
-    if tp_parallel:
-        slots.append(_CommSlot("attn.ar_fwd", act_bytes, "tp", False))
-    slots.append(_EwSlot("attn.residual", bsl_h, 3.0, "residual"))
-    return slots
-
-
-def _fc_forward_slots(grid: ConfigGrid, tp_parallel: bool) -> List[_Slot]:
-    tokens = grid.batch * grid.seq_len
-    ffn = grid.ffn_dim // grid.tp
-    act_bytes = grid.precision.bytes * grid.batch * grid.seq_len * grid.hidden
-    bsl_h = grid.batch * grid.seq_len * grid.hidden
-    slots: List[_Slot] = [
-        _EwSlot("fc.ln", bsl_h, 3.0, "layernorm"),
-        _GemmSlot("fc.fc1", m=tokens, k=grid.hidden, n=ffn, batch=1),
-        _EwSlot("fc.gelu", tokens * ffn, 2.0, "gelu"),
-        _GemmSlot("fc.fc2", m=tokens, k=ffn, n=grid.hidden, batch=1),
-    ]
-    if tp_parallel:
-        slots.append(_CommSlot("fc.ar_fwd", act_bytes, "tp", False))
-    slots.append(_EwSlot("fc.residual", bsl_h, 3.0, "residual"))
-    return slots
-
-
-def _backward_slots(forward: List[_Slot], dp_parallel: bool,
-                    sublayer: str, weight_bytes: np.ndarray) -> List[_Slot]:
-    """Mechanical mirror of :func:`repro.models.layers._sublayer_backward`."""
-    slots: List[_Slot] = []
-    for slot in reversed(forward):
-        if isinstance(slot, _GemmSlot):
-            slots.append(_GemmSlot(f"{slot.name}.ig", m=slot.m, n=slot.k,
-                                   k=slot.n, batch=slot.batch,
-                                   has_weights=slot.has_weights,
-                                   backward=True))
-            slots.append(_GemmSlot(f"{slot.name}.wg", m=slot.k, n=slot.n,
-                                   k=slot.m, batch=slot.batch,
-                                   has_weights=slot.has_weights,
-                                   backward=True))
-        elif isinstance(slot, _EwSlot):
-            slots.append(_EwSlot(f"{slot.name}.grad", slot.elements,
-                                 slot.rw_factor, f"{slot.kind}_grad"))
-        else:
-            prefix = slot.name.split(".")[0]
-            slots.append(_CommSlot(f"{prefix}.ar_bwd", slot.nbytes, "tp",
-                                   False))
-    if dp_parallel:
-        slots.append(_CommSlot(f"{sublayer}.grad_ar", weight_bytes, "dp",
-                               True))
-    return slots
-
-
-def _layer_slots(grid: ConfigGrid, tp_parallel: bool,
-                 dp_parallel: bool) -> List[_Slot]:
-    """One layer's forward + backward slot list for a parity partition."""
-    attn_fwd = _attention_forward_slots(grid, tp_parallel)
-    fc_fwd = _fc_forward_slots(grid, tp_parallel)
-    attn_wbytes = grid.precision.bytes * (
-        4 * grid.hidden * grid.hidden // grid.tp
-    )
-    fc_wbytes = grid.precision.bytes * (
-        2 * grid.hidden * grid.ffn_dim // grid.tp
-    )
-    return (
-        attn_fwd
-        + fc_fwd
-        + _backward_slots(fc_fwd, dp_parallel, "fc", fc_wbytes)
-        + _backward_slots(attn_fwd, dp_parallel, "attention", attn_wbytes)
-    )
-
-
-def _slot_scalar(value, index: int) -> int:
-    if isinstance(value, np.ndarray):
-        return int(value[index])
-    return int(value)
-
-
-def _check_against_exemplar(slots: Sequence[_Slot], grid: ConfigGrid,
-                            index: int = 0) -> None:
-    """Cross-check the slot mirror against a real scalar trace.
-
-    Runs once per parity partition; any structural drift between
-    :mod:`repro.models.layers` and this module raises instead of
-    silently producing wrong batched breakdowns.
-    """
-    model, parallel = grid.at(index)
-    trace = layer_trace(model, parallel)
-    if len(trace.ops) != len(slots):
-        raise RuntimeError(
-            f"batch slot structure diverged from layer_trace: "
-            f"{len(slots)} slots vs {len(trace.ops)} ops"
-        )
-    for op, slot in zip(trace.ops, slots):
-        ok = op.name == slot.name
-        if ok and isinstance(op, GemmOp):
-            ok = (
-                isinstance(slot, _GemmSlot)
-                and op.shape.m == _slot_scalar(slot.m, index)
-                and op.shape.n == _slot_scalar(slot.n, index)
-                and op.shape.k == _slot_scalar(slot.k, index)
-                and op.shape.batch == _slot_scalar(slot.batch, index)
-                and op.has_weights == slot.has_weights
-                and (op.phase.value == "backward") == slot.backward
-            )
-        elif ok and isinstance(op, ElementwiseOp):
-            ok = (
-                isinstance(slot, _EwSlot)
-                and op.elements == _slot_scalar(slot.elements, index)
-                and op.rw_factor == slot.rw_factor
-                and op.kind == slot.kind
-            )
-        elif ok and isinstance(op, CommOp):
-            ok = (
-                isinstance(slot, _CommSlot)
-                and op.nbytes == _slot_scalar(slot.nbytes, index)
-                and op.group.value == slot.group
-                and op.overlappable == slot.overlappable
-            )
-        if not ok:
-            raise RuntimeError(
-                f"batch slot structure diverged from layer_trace at "
-                f"{op.name!r} (slot {slot.name!r})"
-            )
-
-
-def _slot_kind(slot: _Slot) -> str:
-    if isinstance(slot, _CommSlot):
+def _slot_kind(slot: Slot) -> str:
+    if isinstance(slot, CommSlot):
         return (vectorized.KIND_OVERLAPPED if slot.overlappable
                 else vectorized.KIND_SERIALIZED)
     return vectorized.KIND_COMPUTE
 
 
-def _group_sizes(grid: ConfigGrid, slot: _CommSlot) -> np.ndarray:
-    return grid.tp if slot.group == "tp" else grid.dp
+def _group_sizes(grid: ConfigGrid, slot: CommSlot) -> np.ndarray:
+    return grid.tp if slot.group is CommGroup.TP else grid.dp
 
 
 def _slot_column(value, n: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=np.int64), (n,))
 
 
-def _slot_durations(slots: Sequence[_Slot], grid: ConfigGrid,
+def _slot_durations(slots: Sequence[Slot], grid: ConfigGrid,
                     cluster: ClusterSpec,
                     timing: TimingModels) -> List[np.ndarray]:
     """Ground-truth per-slot duration arrays (vectorized timing models).
@@ -447,7 +277,7 @@ def _slot_durations(slots: Sequence[_Slot], grid: ConfigGrid,
     durations: List[Optional[np.ndarray]] = [None] * len(slots)
 
     gemms = [i for i, slot in enumerate(slots)
-             if isinstance(slot, _GemmSlot)]
+             if isinstance(slot, GemmSlot)]
     if gemms:
         times = vectorized.gemm_times(
             np.concatenate([_slot_column(slots[i].m, n) for i in gemms]),
@@ -462,7 +292,7 @@ def _slot_durations(slots: Sequence[_Slot], grid: ConfigGrid,
 
     ew_groups: dict = {}
     for i, slot in enumerate(slots):
-        if isinstance(slot, _EwSlot):
+        if isinstance(slot, ElementwiseSlot):
             ew_groups.setdefault((slot.kind, slot.rw_factor),
                                  []).append(i)
     for (kind, rw_factor), indices in ew_groups.items():
@@ -477,7 +307,7 @@ def _slot_durations(slots: Sequence[_Slot], grid: ConfigGrid,
 
     for overlapped in (False, True):
         comms = [i for i, slot in enumerate(slots)
-                 if isinstance(slot, _CommSlot)
+                 if isinstance(slot, CommSlot)
                  and slot.overlappable == overlapped]
         if not comms:
             continue
@@ -493,15 +323,20 @@ def _slot_durations(slots: Sequence[_Slot], grid: ConfigGrid,
 
 
 def _partitions(grid: ConfigGrid) -> Iterator[Tuple[np.ndarray, ConfigGrid,
-                                                    bool, bool]]:
-    """Split a grid into (TP > 1, DP > 1) parity partitions."""
+                                                    List[Slot]]]:
+    """Split a grid into (TP > 1, DP > 1) parity partitions.
+
+    Yields each partition's mask, sub-grid and layer slots: the
+    :mod:`repro.models.layers` declaration over the sub-grid's columns.
+    """
     tp_par = grid.tp > 1
     dp_par = grid.dp > 1
     for tp_flag in (False, True):
         for dp_flag in (False, True):
             mask = (tp_par == tp_flag) & (dp_par == dp_flag)
             if mask.any():
-                yield mask, grid.subset(mask), tp_flag, dp_flag
+                sub = grid.subset(mask)
+                yield mask, sub, layer_slots(sub, tp_flag, dp_flag)
 
 
 # -- batched breakdown --------------------------------------------------
@@ -574,23 +409,15 @@ def _scatter(out: Tuple[np.ndarray, ...], mask: np.ndarray,
 
 
 def batch_execute(grid: ConfigGrid, cluster: ClusterSpec,
-                  timing: TimingModels = DEFAULT_TIMING,
-                  validate: bool = True) -> BatchBreakdown:
+                  timing: TimingModels = DEFAULT_TIMING) -> BatchBreakdown:
     """Ground-truth breakdowns for a whole grid at once.
 
     Equivalent to running :func:`repro.sim.executor.execute_trace` on
     ``layer_trace(*grid.at(i))`` for every ``i``, bit-for-bit.
-
-    Args:
-        validate: Cross-check each parity partition's slot structure
-            against a scalar exemplar trace (cheap; on by default).
     """
     n = len(grid)
     out = tuple(np.zeros(n, dtype=np.float64) for _ in range(4))
-    for mask, sub, tp_flag, dp_flag in _partitions(grid):
-        slots = _layer_slots(sub, tp_flag, dp_flag)
-        if validate:
-            _check_against_exemplar(slots, sub)
+    for mask, sub, slots in _partitions(grid):
         durations = _slot_durations(slots, sub, cluster, timing)
         kinds = [_slot_kind(slot) for slot in slots]
         _scatter(out, mask, vectorized.closed_form_breakdown(kinds,
@@ -598,12 +425,10 @@ def batch_execute(grid: ConfigGrid, cluster: ClusterSpec,
     return BatchBreakdown(*out)
 
 
-def _project_slot(slot: _Slot, grid: ConfigGrid,
+def _project_slot(slot: Slot, grid: ConfigGrid,
                   suite: OperatorModelSuite) -> np.ndarray:
     """Projected duration array for one slot (operator scaling laws)."""
-    if isinstance(slot, _CommSlot):
-        from repro.models.graph import CollectiveKind
-
+    if isinstance(slot, CommSlot):
         reference = suite.collective_references[CollectiveKind.ALL_REDUCE]
         group = _group_sizes(grid, slot)
         scale = (slot.nbytes / reference.nbytes) * (
@@ -617,7 +442,7 @@ def _project_slot(slot: _Slot, grid: ConfigGrid,
         raise KeyError(
             f"baseline profile has no operator named {slot.name!r}"
         ) from None
-    if isinstance(slot, _GemmSlot):
+    if isinstance(slot, GemmSlot):
         flops = 2 * np.asarray(slot.batch, dtype=np.int64) * slot.m \
             * slot.n * slot.k
         return base_time * flops / base_op.shape.flops
@@ -625,8 +450,8 @@ def _project_slot(slot: _Slot, grid: ConfigGrid,
 
 
 def batch_project(grid: ConfigGrid, suite: OperatorModelSuite,
-                  scenario: Optional[HardwareScenario] = None,
-                  validate: bool = True) -> BatchBreakdown:
+                  scenario: Optional[HardwareScenario] = None
+                  ) -> BatchBreakdown:
     """Projected breakdowns for a whole grid (the paper's method).
 
     Equivalent to ``suite.project_execution(layer_trace(*grid.at(i)))``
@@ -636,15 +461,12 @@ def batch_project(grid: ConfigGrid, suite: OperatorModelSuite,
     """
     n = len(grid)
     out = tuple(np.zeros(n, dtype=np.float64) for _ in range(4))
-    for mask, sub, tp_flag, dp_flag in _partitions(grid):
-        slots = _layer_slots(sub, tp_flag, dp_flag)
-        if validate:
-            _check_against_exemplar(slots, sub)
+    for mask, sub, slots in _partitions(grid):
         durations = [_project_slot(slot, sub, suite) for slot in slots]
         if scenario is not None:
             durations = [
                 duration / (scenario.network_scale
-                            if isinstance(slot, _CommSlot)
+                            if isinstance(slot, CommSlot)
                             else scenario.compute_scale)
                 for slot, duration in zip(slots, durations)
             ]
@@ -655,8 +477,7 @@ def batch_project(grid: ConfigGrid, suite: OperatorModelSuite,
 
 
 def batch_overlap_roi(grid: ConfigGrid, cluster: ClusterSpec,
-                      timing: TimingModels = DEFAULT_TIMING,
-                      validate: bool = True
+                      timing: TimingModels = DEFAULT_TIMING
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """ROI compute/comm time arrays (Figure 11/13 numerator/denominator).
 
@@ -676,26 +497,16 @@ def batch_overlap_roi(grid: ConfigGrid, cluster: ClusterSpec,
     n = len(grid)
     compute = np.zeros(n, dtype=np.float64)
     comm = np.zeros(n, dtype=np.float64)
-    for mask, sub, tp_flag, dp_flag in _partitions(grid):
-        slots = _layer_slots(sub, tp_flag, dp_flag)
-        if validate:
-            _check_against_exemplar(slots, sub)
+    for mask, sub, slots in _partitions(grid):
+        durations = _slot_durations(slots, sub, cluster, timing)
         compute_part = np.zeros(len(sub), dtype=np.float64)
         comm_part = np.zeros(len(sub), dtype=np.float64)
-        for slot in slots:
-            if isinstance(slot, _GemmSlot) and slot.backward \
-                    and slot.has_weights:
-                compute_part = compute_part + vectorized.gemm_times(
-                    slot.m, slot.n, slot.k,
-                    np.broadcast_to(np.asarray(slot.batch, dtype=np.int64),
-                                    sub.hidden.shape),
-                    cluster.device, sub.precision, timing.gemm,
-                )
-            elif isinstance(slot, _CommSlot) and slot.overlappable:
-                comm_part = comm_part + vectorized.cluster_all_reduce_times(
-                    slot.nbytes, _group_sizes(sub, slot), cluster,
-                    overlapped=True,
-                )
+        for slot, duration in zip(slots, durations):
+            if isinstance(slot, GemmSlot) and slot.has_weights \
+                    and slot.phase is Phase.BACKWARD:
+                compute_part = compute_part + duration
+            elif isinstance(slot, CommSlot) and slot.overlappable:
+                comm_part = comm_part + duration
         compute[mask] = compute_part
         comm[mask] = comm_part
     return compute, comm
@@ -709,16 +520,17 @@ def serialized_fractions_for_pairs(
 ) -> List[float]:
     """Serialized-comm fractions for explicit ``(model, parallel)`` pairs.
 
-    Batch path with automatic scalar fallback (mixed precisions or other
-    grid-ineligible inputs); ``engine="batch"`` re-raises instead of
-    falling back, ``engine="scalar"`` skips the batch path entirely.
+    Batch path with scalar fallback on ``ValueError`` (mixed precisions
+    or other grid-ineligible inputs; any other error surfaces);
+    ``engine="batch"`` re-raises instead of falling back,
+    ``engine="scalar"`` skips the batch path entirely.
     """
     if engine != "scalar":
         try:
             grid = ConfigGrid.from_models(pairs)
             breakdown = batch_execute(grid, cluster, timing)
             return [float(f) for f in breakdown.serialized_comm_fraction]
-        except Exception:
+        except ValueError:
             if engine == "batch":
                 raise
     from repro.sim.executor import execute_trace

@@ -63,11 +63,7 @@ import numpy as np
 
 from repro.core.batch import (
     ConfigGrid,
-    _CommSlot,
-    _EwSlot,
-    _GemmSlot,
     _group_sizes,
-    _layer_slots,
     _partitions,
     _slot_kind,
 )
@@ -79,6 +75,7 @@ from repro.core.gridplan import (
 )
 from repro.core.projection import OperatorModelSuite
 from repro.hardware.cluster import ClusterSpec
+from repro.models.layers import CommSlot, ElementwiseSlot, GemmSlot, Slot
 from repro.sim import vectorized
 from repro.sim.executor import DEFAULT_TIMING, TimingModels
 
@@ -236,7 +233,7 @@ def _gemm_bound_durations(m, n, k, batch, device, precision,
 
 
 def _slot_bound_durations(
-    slots: Sequence[object],
+    slots: Sequence[Slot],
     grid: ConfigGrid,
     cluster: ClusterSpec,
     timing: TimingModels,
@@ -301,7 +298,7 @@ def _slot_bound_durations(
             out[i] = times[row * n:(row + 1) * n]
 
     gemms = [i for i, slot in enumerate(slots)
-             if isinstance(slot, _GemmSlot)]
+             if isinstance(slot, GemmSlot)]
     if gemms:
         lo, up = _gemm_bound_durations(
             stack([compress(slots[i].m) for i in gemms], n_unique),
@@ -317,7 +314,7 @@ def _slot_bound_durations(
     ew_amp = timing.elementwise.jitter_amplitude
     ew_groups: dict = {}
     for i, slot in enumerate(slots):
-        if isinstance(slot, _EwSlot):
+        if isinstance(slot, ElementwiseSlot):
             ew_groups.setdefault((slot.kind, slot.rw_factor), []).append(i)
     for (kind, rw_factor), indices in ew_groups.items():
         base = vectorized._elementwise_times(
@@ -336,7 +333,7 @@ def _slot_bound_durations(
     )
     for overlapped in (False, True):
         comms = [i for i, slot in enumerate(slots)
-                 if isinstance(slot, _CommSlot)
+                 if isinstance(slot, CommSlot)
                  and slot.overlappable == overlapped]
         if not comms:
             continue
@@ -373,8 +370,7 @@ def _bound_execute(grid: ConfigGrid, cluster: ClusterSpec,
     n = len(grid)
     lower = {name: np.zeros(n, dtype=np.float64) for name in _STORED}
     upper = {name: np.zeros(n, dtype=np.float64) for name in _STORED}
-    for mask, sub, tp_flag, dp_flag in _partitions(grid):
-        slots = _layer_slots(sub, tp_flag, dp_flag)
+    for mask, sub, slots in _partitions(grid):
         kinds = [_slot_kind(slot) for slot in slots]
         lo_durations, up_durations = _slot_bound_durations(
             slots, sub, cluster, timing
@@ -396,8 +392,7 @@ def _bound_project(grid: ConfigGrid, suite: OperatorModelSuite,
     """Projection is deterministic: exact metrics, zero interval width."""
     from repro.core.batch import batch_project
 
-    breakdown = batch_project(grid, suite, scenario=scenario,
-                              validate=False)
+    breakdown = batch_project(grid, suite, scenario=scenario)
     exact = {name: np.asarray(getattr(breakdown, name), dtype=np.float64)
              for name in BOUNDED_METRICS}
     return MetricBounds(lower=dict(exact), upper=dict(exact))

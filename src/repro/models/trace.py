@@ -38,10 +38,8 @@ def layer_trace(model: ModelConfig, parallel: ParallelConfig,
     cold-path benchmarks).
     """
     validate_model_parallel(model, parallel)
-    ops: List[Op] = []
-    ops.extend(layers.layer_forward_ops(model, parallel, layer))
-    ops.extend(layers.layer_backward_ops(model, parallel, layer))
-    return Trace(model=model, parallel=parallel, ops=tuple(ops))
+    return Trace(model=model, parallel=parallel,
+                 ops=tuple(layers.layer_ops(model, parallel, layer)))
 
 
 def training_trace(model: ModelConfig, parallel: ParallelConfig) -> Trace:

@@ -306,6 +306,40 @@ def test_mixed_precision_pairs_fall_back(cluster):
         serialized_fractions_for_pairs(pairs, cluster, engine="batch")
 
 
+# Only ValueError (input the batch engine cannot take) falls back to the
+# scalar engine under "auto"; any other batch-path error must surface.
+
+
+def _batch_bug(*args, **kwargs):
+    raise RuntimeError("batch engine bug")
+
+
+def test_auto_pairs_surface_batch_bugs(cluster, monkeypatch):
+    import repro.core.batch as batch_module
+
+    monkeypatch.setattr(batch_module, "batch_execute", _batch_bug)
+    pairs = [(ModelConfig(name="a", hidden=1024, seq_len=512, batch=1,
+                          num_heads=8), ParallelConfig(tp=4, dp=1))]
+    with pytest.raises(RuntimeError, match="batch engine bug"):
+        serialized_fractions_for_pairs(pairs, cluster, engine="auto")
+
+
+def test_auto_serialized_sweep_surfaces_batch_bugs(cluster, monkeypatch):
+    import repro.core.batch as batch_module
+
+    monkeypatch.setattr(batch_module, "batch_execute", _batch_bug)
+    with pytest.raises(RuntimeError, match="batch engine bug"):
+        sweeps.serialized_sweep([(4096, 1024, 8)], cluster, engine="auto")
+
+
+def test_auto_overlap_sweep_surfaces_batch_bugs(cluster, monkeypatch):
+    import repro.core.batch as batch_module
+
+    monkeypatch.setattr(batch_module, "batch_overlap_roi", _batch_bug)
+    with pytest.raises(RuntimeError, match="batch engine bug"):
+        sweeps.overlap_sweep([(4096, 4096)], cluster, engine="auto")
+
+
 # -- engine routing -----------------------------------------------------
 
 

@@ -101,6 +101,21 @@ class TestBackwardShapes:
         assert wg.name.endswith(".wg")
         assert ig.phase is Phase.BACKWARD
 
+    def test_ig_and_wg_transpose_the_forward_operands(self):
+        # C[m,n] = A[m,k] @ W[k,n]: dA[m,k] = dC @ W.T, dW[k,n] = A.T @ dC
+        backward = {op.name: op.shape
+                    for op in layers.layer_backward_ops(_model(), TP4_DP2)
+                    if isinstance(op, GemmOp)}
+        for op in layers.layer_forward_ops(_model(), TP4_DP2):
+            if isinstance(op, GemmOp):
+                s = op.shape
+                ig = backward[f"{op.name}.ig"]
+                wg = backward[f"{op.name}.wg"]
+                assert (ig.m, ig.n, ig.k, ig.batch) == (s.m, s.k, s.n,
+                                                        s.batch)
+                assert (wg.m, wg.n, wg.k, wg.batch) == (s.k, s.n, s.m,
+                                                        s.batch)
+
     @given(hidden=_pow2_dim, seq_len=_pow2_dim, tp=_tp_values)
     @settings(max_examples=25)
     def test_backward_flops_are_twice_forward(self, hidden, seq_len, tp):
