@@ -17,7 +17,6 @@ the git revision it was measured at so committed numbers are traceable.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -112,7 +111,6 @@ def pytest_sessionfinish(session, exitstatus):
     run = {
         "git_sha": _git_sha(),
         "python": sys.version.split()[0],
-        "engine": os.environ.get("REPRO_ENGINE", "auto"),
         "exit_status": int(exitstatus),
         "benchmarks": _collect_benchmarks(config),
         "extra": config.stash.get(_EXTRA_KEY, {}),

@@ -23,14 +23,14 @@ grid can be evaluated at once:
   adds to the critical path, overlappable DP all-reduces expose only
   ``max(0, comm - remaining_compute)`` slack.
 
-The scalar engine stays the reference implementation and the fallback
-for irregular traces (multi-layer pipelines, MoE, mixed precisions).
+The scalar engine stays the reference implementation, and the only
+engine for traces a grid does not describe (multi-layer pipelines, MoE).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from repro.models.layers import (
     Slot,
     layer_slots,
 )
-from repro.models.trace import layer_trace
 from repro.sim import vectorized
 from repro.sim.breakdown import Breakdown
 from repro.sim.executor import DEFAULT_TIMING, TimingModels
@@ -77,7 +76,8 @@ class ConfigGrid:
     """Arrays of sweep configurations, one entry per grid point.
 
     All columns share one length; ``precision`` is uniform across the
-    grid (mixed-precision grids fall back to the scalar engine).  A grid
+    grid (:func:`serialized_fractions_for_pairs` splits mixed-precision
+    pairs into one grid per precision).  A grid
     carries the dims :func:`repro.models.layers.layer_slots` declares a
     layer's operators over.
     """
@@ -180,15 +180,14 @@ class ConfigGrid:
 
         Raises:
             ValueError: if the pairs mix precisions (the batch engine
-                evaluates one dtype per grid; callers fall back to the
-                scalar path).
+                evaluates one dtype per grid).
         """
         if not pairs:
             raise ValueError("from_models needs at least one pair")
         precisions = {model.precision for model, _ in pairs}
         if len(precisions) > 1:
             raise ValueError(
-                "mixed precisions in one grid; use the scalar engine"
+                "mixed precisions in one grid; build one grid per precision"
             )
         return cls(
             hidden=[m.hidden for m, _ in pairs],
@@ -516,27 +515,21 @@ def serialized_fractions_for_pairs(
     pairs: Sequence[Tuple[ModelConfig, ParallelConfig]],
     cluster: ClusterSpec,
     timing: TimingModels = DEFAULT_TIMING,
-    engine: str = "auto",
 ) -> List[float]:
     """Serialized-comm fractions for explicit ``(model, parallel)`` pairs.
 
-    Batch path with scalar fallback on ``ValueError`` (mixed precisions
-    or other grid-ineligible inputs; any other error surfaces);
-    ``engine="batch"`` re-raises instead of falling back,
-    ``engine="scalar"`` skips the batch path entirely.
+    One grid per precision, fractions scattered back in input order
+    (``[]`` for no pairs); each equals the scalar
+    ``execute_trace(layer_trace(model, parallel))`` fraction exactly.
     """
-    if engine != "scalar":
-        try:
-            grid = ConfigGrid.from_models(pairs)
-            breakdown = batch_execute(grid, cluster, timing)
-            return [float(f) for f in breakdown.serialized_comm_fraction]
-        except ValueError:
-            if engine == "batch":
-                raise
-    from repro.sim.executor import execute_trace
-
-    return [
-        execute_trace(layer_trace(model, parallel), cluster,
-                      timing).breakdown.serialized_comm_fraction
-        for model, parallel in pairs
-    ]
+    fractions = [0.0] * len(pairs)
+    by_precision: Dict[Precision, List[int]] = {}
+    for index, (model, _) in enumerate(pairs):
+        by_precision.setdefault(model.precision, []).append(index)
+    for indices in by_precision.values():
+        grid = ConfigGrid.from_models([pairs[index] for index in indices])
+        breakdown = batch_execute(grid, cluster, timing)
+        for index, fraction in zip(indices,
+                                   breakdown.serialized_comm_fraction):
+            fractions[index] = float(fraction)
+    return fractions

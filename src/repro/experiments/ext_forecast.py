@@ -24,32 +24,24 @@ __all__ = ["run", "main"]
 
 def run(cluster: Optional[ClusterSpec] = None,
         start_year: int = 2023, end_year: int = 2027,
-        session: Optional["Session"] = None,
-        engine: Optional[str] = None) -> ExperimentResult:
+        session: Optional["Session"] = None) -> ExperimentResult:
     """Analyze forecasted future Transformers year by year.
 
     The yearly configurations are evaluated as one batched grid per
-    cluster (today's and the 4x-scaled one); ``engine="scalar"`` forces
-    the per-config reference path.
+    cluster (today's and the 4x-scaled one).
     """
     from repro.core.batch import serialized_fractions_for_pairs
-    from repro.experiments.sweeps import _resolve_engine
 
     if cluster is None:
         cluster = session.cluster if session is not None else mi210_node()
-    resolved = _resolve_engine(engine, session)
     fourx = PAPER_SCENARIOS[2].apply(cluster)
     models = list(forecast.forecast_series(start_year, end_year))
     pairs = []
     for model in models:
         tp = min(scaling.required_tp(model, max_tp=256), model.num_heads)
         pairs.append((model, ParallelConfig(tp=tp, dp=1)))
-    today_fractions = serialized_fractions_for_pairs(
-        pairs, cluster, engine=resolved
-    )
-    future_fractions = serialized_fractions_for_pairs(
-        pairs, fourx, engine=resolved
-    )
+    today_fractions = serialized_fractions_for_pairs(pairs, cluster)
+    future_fractions = serialized_fractions_for_pairs(pairs, fourx)
     rows = []
     for (model, parallel), today, future in zip(pairs, today_fractions,
                                                 future_fractions):

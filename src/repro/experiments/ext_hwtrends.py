@@ -41,9 +41,12 @@ FOCUS_CONFIG: Tuple[int, int, int] = (16384, 2048, 64)
 
 def run(pairs: Sequence[Tuple[str, str]] = GENERATION_PAIRS,
         cluster: Optional[ClusterSpec] = None,
-        session: Optional["Session"] = None,
-        engine: Optional[str] = None) -> ExperimentResult:
-    """Per-generation compute vs network scaling ratios."""
+        session: Optional["Session"] = None) -> ExperimentResult:
+    """Per-generation compute vs network scaling ratios.
+
+    Each transition's serialized share is a one-config batched
+    :func:`~repro.experiments.sweeps.serialized_sweep`.
+    """
     from repro.experiments import sweeps
 
     if cluster is None:
@@ -60,7 +63,6 @@ def run(pairs: Sequence[Tuple[str, str]] = GENERATION_PAIRS,
         )
         fraction = sweeps.serialized_sweep(
             [FOCUS_CONFIG], cluster, scenario=scenario, session=session,
-            engine=engine,
         )[0]
         rows.append((
             f"{old_name} -> {new_name}",

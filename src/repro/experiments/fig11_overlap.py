@@ -22,10 +22,12 @@ __all__ = ["run", "main"]
 
 
 def run(cluster: Optional[ClusterSpec] = None,
-        session: Optional["Session"] = None,
-        jobs: int = 1,
-        engine: Optional[str] = None) -> ExperimentResult:
-    """Reproduce the Figure 11 sweep."""
+        session: Optional["Session"] = None) -> ExperimentResult:
+    """Reproduce the Figure 11 sweep.
+
+    The whole grid runs as one batched
+    :func:`~repro.experiments.sweeps.overlap_sweep`.
+    """
     from repro.runtime.session import resolve_session
 
     session = resolve_session(session)
@@ -33,8 +35,7 @@ def run(cluster: Optional[ClusterSpec] = None,
     points = [(hidden, slb)
               for hidden in sweeps.OVERLAP_H_VALUES
               for slb in sweeps.OVERLAP_SLB_VALUES]
-    ratios = sweeps.overlap_sweep(points, cluster, session=session,
-                                  jobs=jobs, engine=engine)
+    ratios = sweeps.overlap_sweep(points, cluster, session=session)
     rows = []
     for (hidden, slb), ratio in zip(points, ratios):
         rows.append((

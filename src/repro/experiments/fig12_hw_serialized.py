@@ -25,8 +25,6 @@ def run(
     cluster: Optional[ClusterSpec] = None,
     scenarios: Sequence[HardwareScenario] = PAPER_SCENARIOS,
     session: Optional["Session"] = None,
-    jobs: int = 1,
-    engine: Optional[str] = None,
 ) -> ExperimentResult:
     """Reproduce the Figure 12 scenario sweep.
 
@@ -49,7 +47,6 @@ def run(
     by_scenario = {
         scenario: sweeps.serialized_sweep(
             configs, cluster, scenario=scenario, session=session,
-            jobs=jobs, engine=engine,
         )
         for scenario in scenarios
     }

@@ -29,8 +29,6 @@ def run(
     scenarios: Sequence[HardwareScenario] = PAPER_SCENARIOS,
     slb: int = FOCUS_SLB,
     session: Optional["Session"] = None,
-    jobs: int = 1,
-    engine: Optional[str] = None,
 ) -> ExperimentResult:
     """Reproduce the Figure 13 scenario sweep.
 
@@ -47,7 +45,6 @@ def run(
     by_scenario = {
         scenario: sweeps.overlap_sweep(
             points, cluster, scenario=scenario, session=session,
-            jobs=jobs, engine=engine,
         )
         for scenario in scenarios
     }

@@ -5,10 +5,13 @@ sized after T-NLG, PaLM, and a 3x-PaLM futuristic Transformer -- across
 TP degrees; the overlapped-communication figures sweep H against the
 ``SL * B`` product at the paper's fixed TP of 16.
 
-When a runtime :class:`~repro.runtime.session.Session` is threaded in,
-per-trace ground-truth durations replay from its keyed cache, and the
-``*_sweep`` helpers evaluate whole grids through the session's parallel
-executor while keeping deterministic input order.
+The ``*_sweep`` helpers evaluate a whole grid at once on the batch
+engine (:mod:`repro.core.batch`) and return results in input order;
+with a runtime :class:`~repro.runtime.session.Session` threaded in,
+they replay from its keyed cache.  :func:`serialized_fraction` and
+:func:`overlap_ratio` price one configuration on the scalar engine
+(one trace through the discrete-event executor): they are the
+reference the sweeps match bit for bit.
 """
 
 from __future__ import annotations
@@ -17,13 +20,18 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core import roi
+from repro.core.batch import (
+    ConfigGrid,
+    batch_execute,
+    batch_overlap_roi,
+    batch_project,
+)
 from repro.core.evolution import HardwareScenario
 from repro.core.hyperparams import ModelConfig, ParallelConfig
 from repro.core.projection import OperatorModelSuite
 from repro.core.strategy import sweep_num_heads
 from repro.hardware.cluster import ClusterSpec
 from repro.models.trace import layer_trace
-from repro.runtime.parallel import parallel_map
 from repro.sim.executor import DEFAULT_TIMING, TimingModels, execute_trace
 
 if TYPE_CHECKING:
@@ -45,21 +53,6 @@ __all__ = [
     "overlap_ratio",
     "overlap_sweep",
 ]
-
-ENGINES = ("auto", "scalar", "batch")
-
-
-def _resolve_engine(engine: Optional[str],
-                    session: Optional["Session"]) -> str:
-    """Effective engine choice: explicit argument, else the session's."""
-    if engine is None:
-        engine = "auto"
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    if engine == "auto" and session is not None:
-        return session.engine
-    return engine
-
 
 @dataclass(frozen=True)
 class SerializedLine:
@@ -119,17 +112,15 @@ def serialized_fraction(
     scenario: Optional[HardwareScenario] = None,
     suite: Optional[OperatorModelSuite] = None,
     timing: TimingModels = DEFAULT_TIMING,
-    session: Optional["Session"] = None,
 ) -> float:
     """Serialized-communication fraction of one configuration.
+
+    The per-config reference for :func:`serialized_sweep`.
 
     Args:
         scenario: Optional hardware-evolution scaling (Figure 12).
         suite: When given, use operator-model *projection* (the paper's
             method) instead of ground-truth simulation.
-        session: When given, ground-truth per-trace durations replay
-            from the session's keyed cache (bit-identical to a fresh
-            ``execute_trace``).
     """
     model = serialized_model(hidden, seq_len, tp)
     parallel = ParallelConfig(tp=tp, dp=1)
@@ -142,24 +133,27 @@ def serialized_fraction(
             durations = scale_durations(trace, durations, scenario)
         from repro.sim.executor import schedule_with_durations
         result = schedule_with_durations(trace, durations)
-    elif session is not None:
-        result = session.execute(trace, target_cluster, timing)
     else:
         result = execute_trace(trace, target_cluster, timing)
     return result.breakdown.serialized_comm_fraction
 
 
-def _serialized_sweep_batch(
+def serialized_sweep(
     configs: Sequence[Tuple[int, int, int]],
     cluster: ClusterSpec,
-    scenario: Optional[HardwareScenario],
-    suite: Optional[OperatorModelSuite],
-    timing: TimingModels,
-    session: Optional["Session"],
+    scenario: Optional[HardwareScenario] = None,
+    suite: Optional[OperatorModelSuite] = None,
+    timing: TimingModels = DEFAULT_TIMING,
+    session: Optional["Session"] = None,
 ) -> List[float]:
-    """Batched serialized sweep (bit-identical to the scalar path)."""
-    from repro.core.batch import ConfigGrid, batch_execute, batch_project
+    """Serialized fractions for a grid of ``(hidden, seq_len, tp)``.
 
+    The whole grid is evaluated at once on the batch engine, through
+    the operator-model ``suite`` when one is given.  With a session,
+    ground-truth breakdowns replay from its keyed cache.  Fractions come
+    back in input order, bit-identical to :func:`serialized_fraction`
+    on each configuration.
+    """
     grid = ConfigGrid.from_serialized(configs)
     if suite is not None:
         breakdown = batch_project(grid, suite, scenario=scenario)
@@ -170,45 +164,6 @@ def _serialized_sweep_batch(
         else:
             breakdown = batch_execute(grid, target, timing)
     return [float(f) for f in breakdown.serialized_comm_fraction]
-
-
-def serialized_sweep(
-    configs: Sequence[Tuple[int, int, int]],
-    cluster: ClusterSpec,
-    scenario: Optional[HardwareScenario] = None,
-    suite: Optional[OperatorModelSuite] = None,
-    timing: TimingModels = DEFAULT_TIMING,
-    session: Optional["Session"] = None,
-    jobs: int = 1,
-    engine: Optional[str] = None,
-) -> List[float]:
-    """Serialized fractions for a grid of ``(hidden, seq_len, tp)``.
-
-    With the batch engine (the default via ``"auto"``), the whole grid
-    is evaluated at once through :mod:`repro.core.batch`; results are
-    bit-identical to the scalar path.  ``"auto"`` falls back to the
-    scalar path only when the batch engine rejects the input with a
-    ``ValueError``.  ``engine="scalar"`` forces the
-    per-config reference path, which evaluates configurations through
-    the runtime parallel executor (``jobs`` worker threads; serial by
-    default).  Fractions come back in input order either way.
-    """
-    resolved = _resolve_engine(engine, session)
-    if resolved != "scalar":
-        try:
-            return _serialized_sweep_batch(configs, cluster, scenario,
-                                           suite, timing, session)
-        except ValueError:
-            if resolved == "batch":
-                raise
-    return parallel_map(
-        lambda cfg: serialized_fraction(
-            cfg[0], cfg[1], cfg[2], cluster,
-            scenario=scenario, suite=suite, timing=timing, session=session,
-        ),
-        configs,
-        jobs=jobs,
-    )
 
 
 def overlap_model(hidden: int, slb: int) -> ModelConfig:
@@ -228,45 +183,38 @@ def overlap_ratio(
     cluster: ClusterSpec,
     scenario: Optional[HardwareScenario] = None,
     timing: TimingModels = DEFAULT_TIMING,
-    session: Optional["Session"] = None,
 ) -> float:
     """Overlapped comm as a fraction of ROI compute (Figure 11/13 metric).
 
-    Hardware evolution scales the ROI's compute and communication times
-    by the scenario's respective factors (Section 4.3.6).  With a
-    session, the scenario-independent base ratio replays from the keyed
-    cache, so the Figure 11 grid and every Figure 13 scenario share one
-    ROI timing per configuration.
+    The per-config reference for :func:`overlap_sweep`.  Hardware
+    evolution scales the ROI's compute and communication times by the
+    scenario's respective factors (Section 4.3.6).
     """
     model = overlap_model(hidden, slb)
     parallel = ParallelConfig(tp=OVERLAP_TP, dp=OVERLAP_DP)
-
-    def compute_ratio() -> float:
-        timing_result = roi.overlap_roi_timing(model, parallel, cluster,
-                                               timing)
-        return timing_result.overlapped_pct_of_compute
-
-    if session is not None:
-        ratio = session.memo("overlap-roi-ratio",
-                             (model, parallel, cluster, timing),
-                             compute_ratio)
-    else:
-        ratio = compute_ratio()
+    ratio = roi.overlap_roi_timing(model, parallel, cluster,
+                                   timing).overlapped_pct_of_compute
     if scenario is not None:
         ratio *= scenario.compute_scale / scenario.network_scale
     return ratio
 
 
-def _overlap_sweep_batch(
+def overlap_sweep(
     points: Sequence[Tuple[int, int]],
     cluster: ClusterSpec,
-    scenario: Optional[HardwareScenario],
-    timing: TimingModels,
-    session: Optional["Session"],
+    scenario: Optional[HardwareScenario] = None,
+    timing: TimingModels = DEFAULT_TIMING,
+    session: Optional["Session"] = None,
 ) -> List[float]:
-    """Batched overlap sweep (bit-identical to the scalar path)."""
-    from repro.core.batch import ConfigGrid, batch_overlap_roi
+    """Overlap ratios for a grid of ``(hidden, slb)`` points.
 
+    The whole grid's ROI is evaluated at once on the batch engine.  The
+    scenario scales the scenario-independent base ratios, which with a
+    session replay from its keyed cache, so the Figure 11 grid and every
+    Figure 13 scenario share one batched ROI evaluation.  Ratios come
+    back in input order, bit-identical to :func:`overlap_ratio` on each
+    point.
+    """
     grid = ConfigGrid.from_overlap(points, tp=OVERLAP_TP, dp=OVERLAP_DP)
 
     def compute() -> List[float]:
@@ -285,37 +233,3 @@ def _overlap_sweep_batch(
         factor = scenario.compute_scale / scenario.network_scale
         ratios = [ratio * factor for ratio in ratios]
     return list(ratios)
-
-
-def overlap_sweep(
-    points: Sequence[Tuple[int, int]],
-    cluster: ClusterSpec,
-    scenario: Optional[HardwareScenario] = None,
-    timing: TimingModels = DEFAULT_TIMING,
-    session: Optional["Session"] = None,
-    jobs: int = 1,
-    engine: Optional[str] = None,
-) -> List[float]:
-    """Overlap ratios for a grid of ``(hidden, slb)`` points.
-
-    Batch-engine contract mirrors :func:`serialized_sweep` (whole grid
-    at once, bit-identical, scalar fallback on ``ValueError``); the
-    scalar path keeps the parallel-executor contract: ``jobs`` worker
-    threads, results in input order.
-    """
-    resolved = _resolve_engine(engine, session)
-    if resolved != "scalar":
-        try:
-            return _overlap_sweep_batch(points, cluster, scenario, timing,
-                                        session)
-        except ValueError:
-            if resolved == "batch":
-                raise
-    return parallel_map(
-        lambda point: overlap_ratio(
-            point[0], point[1], cluster,
-            scenario=scenario, timing=timing, session=session,
-        ),
-        points,
-        jobs=jobs,
-    )

@@ -30,8 +30,7 @@ def _feasible_tp(model) -> int:
 
 
 def run(cluster: Optional[ClusterSpec] = None,
-        session: Optional["Session"] = None,
-        engine: Optional[str] = None) -> ExperimentResult:
+        session: Optional["Session"] = None) -> ExperimentResult:
     """Reproduce Table 2 with a computed-vs-reported size cross-check.
 
     Extends the paper's table with each model's feasible TP degree on
@@ -39,16 +38,13 @@ def run(cluster: Optional[ClusterSpec] = None,
     see there, evaluated as one batched grid across the zoo.
     """
     from repro.core.batch import serialized_fractions_for_pairs
-    from repro.experiments.sweeps import _resolve_engine
 
     if cluster is None:
         cluster = session.cluster if session is not None else mi210_node()
-    resolved = _resolve_engine(engine, session)
     models = [zoo.MODEL_ZOO[entry["model"]] for entry in zoo.zoo_table()]
     pairs = [(model, ParallelConfig(tp=_feasible_tp(model), dp=1))
              for model in models]
-    fractions = serialized_fractions_for_pairs(pairs, cluster,
-                                               engine=resolved)
+    fractions = serialized_fractions_for_pairs(pairs, cluster)
     rows = []
     for entry, (model, parallel), fraction in zip(zoo.zoo_table(), pairs,
                                                   fractions):

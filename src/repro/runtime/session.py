@@ -76,10 +76,6 @@ class Session:
             ``cache`` and ``cache_dir`` are None the cache is
             memory-only.
         jobs: Default parallelism for :meth:`run_all` (1 = serial).
-        engine: Sweep-evaluation engine: ``"auto"`` (batch with scalar
-            fallback, the default), ``"batch"`` (vectorized grids only;
-            ineligible grids raise), or ``"scalar"`` (reference
-            per-config path).
         check: Validate every execution and batched breakdown against
             the engine invariants (:mod:`repro.core.invariants`),
             raising :class:`~repro.core.invariants.InvariantError` on
@@ -87,25 +83,17 @@ class Session:
             ``REPRO_CHECK`` environment variable.
     """
 
-    ENGINES = ("auto", "scalar", "batch")
-
     def __init__(self,
                  cluster: Optional[ClusterSpec] = None,
                  timing: Optional[TimingModels] = None,
                  cache: Optional[ResultCache] = None,
                  cache_dir: Optional[str] = None,
                  jobs: int = 1,
-                 engine: str = "auto",
                  check: Optional[bool] = None) -> None:
         if cache is not None and cache_dir is not None:
             raise ValueError("pass either cache or cache_dir, not both")
-        if engine not in self.ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {self.ENGINES}"
-            )
         from repro.sim.checker import check_enabled
 
-        self.engine = engine
         self.check = check_enabled(check)
         self.cluster = cluster if cluster is not None else mi210_node()
         self.timing = timing if timing is not None else DEFAULT_TIMING
@@ -373,13 +361,15 @@ class Session:
 
         Cache keys cover the experiment id and the session fingerprint,
         so sessions on different clusters or timing models never share
-        entries.  The returned result carries :class:`RunMeta`.
+        entries.  The returned result carries :class:`RunMeta`; a cache
+        hit reports ``checked`` as recorded by the run that wrote the
+        entry, since a replay validates nothing.
         """
         from repro.experiments import registry
 
         runner = registry.get_experiment(experiment_id)
         key = cache_key("experiment-result", CACHE_VERSION, experiment_id,
-                        self.fingerprint, self.engine)
+                        self.fingerprint)
         start = time.perf_counter()
         if use_cache:
             cached = self.cache.get(key)
@@ -387,11 +377,12 @@ class Session:
                 result = ExperimentResult.from_dict(cached)
                 meta = RunMeta(wall_time_s=time.perf_counter() - start,
                                cache="hit", session=self.fingerprint,
-                               checked=self.check)
+                               checked=cached.get("checked") is True)
                 return result.with_meta(meta)
         result = self._invoke(runner)
         if use_cache:
-            self.cache.put(key, result.to_dict())
+            self.cache.put(key, dict(result.to_dict(),
+                                     checked=self.check))
         meta = RunMeta(wall_time_s=time.perf_counter() - start,
                        cache="miss" if use_cache else "off",
                        session=self.fingerprint, checked=self.check)
@@ -422,18 +413,11 @@ class Session:
         )
 
 
-_PARAMS_CACHE: Dict[object, frozenset] = {}
-
-
 def _runner_params(runner: Callable[..., object]) -> frozenset:
-    params = _PARAMS_CACHE.get(runner)
-    if params is None:
-        try:
-            params = frozenset(inspect.signature(runner).parameters)
-        except (TypeError, ValueError):
-            params = frozenset()
-        _PARAMS_CACHE[runner] = params
-    return params
+    try:
+        return frozenset(inspect.signature(runner).parameters)
+    except (TypeError, ValueError):
+        return frozenset()
 
 
 _default_session: Optional[Session] = None

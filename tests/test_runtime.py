@@ -366,9 +366,9 @@ class TestSessionDefaults:
         assert fresh_default_session.suite_fit_count == 1
 
     def test_explicit_session_overrides_default(self, session):
-        result = fig10_serialized.run(session=session, jobs=2)
+        result = fig10_serialized.run(session=session)
         assert result.experiment_id == "figure-10"
-        # The sweep's per-trace durations landed in this session's cache.
+        # The sweep's batched breakdown landed in this session's cache.
         assert session.cache.stats.writes > 0
 
     def test_fingerprint_tracks_cluster(self):
@@ -406,13 +406,27 @@ class TestSessionCheck:
         assert Session().run("table-3",
                              use_cache=False).meta.checked is False
 
+    def test_cache_hit_reports_the_writers_check(self, tmp_path):
+        """A replay validates nothing: ``checked`` is the writer's flag."""
+        unchecked = tmp_path / "unchecked"
+        Session(cache_dir=unchecked, check=False).run("table-3")
+        replay = Session(cache_dir=unchecked, check=True).run("table-3")
+        assert replay.meta.cache == "hit"
+        assert replay.meta.checked is False
+        assert "checked" not in replay.meta.describe()
+
+        checked = tmp_path / "checked"
+        Session(cache_dir=checked, check=True).run("table-3")
+        replay = Session(cache_dir=checked, check=False).run("table-3")
+        assert replay.meta.cache == "hit"
+        assert replay.meta.checked is True
+
 
 class TestSweepHelpers:
     def test_serialized_sweep_matches_pointwise(self, session):
         cluster = session.cluster
         configs = [(4096, 1024, tp) for tp in (4, 8, 16)]
-        swept = sweeps.serialized_sweep(configs, cluster, session=session,
-                                        jobs=2)
+        swept = sweeps.serialized_sweep(configs, cluster, session=session)
         pointwise = [sweeps.serialized_fraction(h, sl, tp, cluster)
                      for h, sl, tp in configs]
         assert swept == pointwise
@@ -420,8 +434,7 @@ class TestSweepHelpers:
     def test_overlap_sweep_matches_pointwise(self, session):
         cluster = session.cluster
         points = [(2048, 1024), (4096, 2048)]
-        swept = sweeps.overlap_sweep(points, cluster, session=session,
-                                     jobs=2)
+        swept = sweeps.overlap_sweep(points, cluster, session=session)
         pointwise = [sweeps.overlap_ratio(h, slb, cluster)
                      for h, slb in points]
         assert swept == pointwise
