@@ -88,11 +88,13 @@ def merge_results(previous: dict, run: dict) -> dict:
     """Fold one session's ``run`` payload into the ``previous`` file.
 
     Benchmarks merge by ``name`` and extras by key; a re-measured entry
-    replaces the old one, every other entry is kept as it was.
+    replaces the old one, every other entry is kept as it was.  The
+    top-level fields come from ``run`` alone, so a field the writer no
+    longer emits does not linger.
     """
     sha = run["git_sha"]
-    merged = dict(previous, **{key: value for key, value in run.items()
-                               if key not in ("benchmarks", "extra")})
+    merged = {key: value for key, value in run.items()
+              if key not in ("benchmarks", "extra")}
     benchmarks = {entry["name"]: entry
                   for entry in previous.get("benchmarks", [])}
     for entry in run["benchmarks"]:

@@ -18,6 +18,9 @@ grid can be evaluated at once:
   :mod:`repro.sim.vectorized` (ground truth) or from the fitted
   :class:`~repro.core.projection.OperatorModelSuite` scaling laws
   (projection), reproducing the scalar engines bit-for-bit;
+* :func:`_stack_slots` prices GEMM and element-wise slots once per run
+  of adjacent rows that differ only in DP, collectives on every row;
+  the bound envelopes of :mod:`repro.core.bounds` reuse it;
 * the two-stream schedule collapses to closed-form prefix sums
   (:func:`repro.sim.vectorized.closed_form_breakdown`): serialized comm
   adds to the critical path, overlappable DP all-reduces expose only
@@ -30,7 +33,8 @@ engine for traces a grid does not describe (multi-layer pipelines, MoE).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -256,68 +260,103 @@ def _group_sizes(grid: ConfigGrid, slot: CommSlot) -> np.ndarray:
     return grid.tp if slot.group is CommGroup.TP else grid.dp
 
 
-def _slot_column(value, n: int) -> np.ndarray:
-    return np.broadcast_to(np.asarray(value, dtype=np.int64), (n,))
+#: One family evaluator's outputs, each a flat float64 array.
+Outputs = Tuple[np.ndarray, ...]
 
 
-def _slot_durations(slots: Sequence[Slot], grid: ConfigGrid,
-                    cluster: ClusterSpec,
-                    timing: TimingModels) -> List[np.ndarray]:
-    """Ground-truth per-slot duration arrays (vectorized timing models).
+def _stack_slots(slots: Sequence[Slot], grid: ConfigGrid,
+                 gemm: Callable[..., Outputs],
+                 elementwise: Callable[..., Outputs],
+                 collective: Callable[..., Outputs]
+                 ) -> List[List[np.ndarray]]:
+    """Per-slot arrays of the family evaluators, stacked per family.
 
-    Same-type slots are stacked into one flat vectorized call per kind
-    (all GEMMs together, element-wise ops per jitter kind, collectives
-    per overlap class): the timing formulas are element-wise, so the
-    stacking changes the fixed NumPy overhead -- from per-slot to
-    per-partition -- without touching any computed value.  Each timing
-    model then evaluates only the stack's distinct operator shapes.
+    Same-family slots share one call on flat int64 columns: all GEMMs as
+    ``gemm(m, n, k, batch)``, element-wise slots per ``(kind,
+    rw_factor)`` as ``elementwise(elements, kind, rw_factor)``, and
+    collectives per overlap class as ``collective(nbytes, group_size,
+    overlapped)``.  Each evaluator is element-wise and returns a tuple
+    of arrays; the result holds one list of per-slot arrays per output.
+
+    GEMM and element-wise shapes depend on (H, SL, B, TP, heads, FFN)
+    only, and ``dp`` is a grid chunk's fastest axis, so those families
+    are evaluated on the first row of each run of rows with equal
+    tuples and gathered back by run, bit-identical to evaluating every
+    row.  Collectives are evaluated on every row: the DP group is ``dp``.
     """
-    n = int(grid.hidden.shape[0])
-    durations: List[Optional[np.ndarray]] = [None] * len(slots)
+    n = len(grid)
+    change = np.zeros(n, dtype=bool)
+    change[0] = True
+    for column in (grid.hidden, grid.seq_len, grid.batch, grid.tp,
+                   grid.num_heads, grid.ffn_dim):
+        change[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(change)
+    run_of_row = np.cumsum(change) - 1
+    per_slot: List[Optional[Outputs]] = [None] * len(slots)
+
+    def evaluate(indices: List[int], columns: List[List[object]],
+                 evaluator: Callable[..., Outputs], *args,
+                 by_run: bool = True) -> None:
+        rows = starts if by_run and len(starts) < n else None
+        stacked = []
+        for values in columns:
+            block = np.empty((len(values), n if rows is None else len(rows)),
+                             dtype=np.int64)
+            for row, value in enumerate(map(np.asarray, values)):
+                block[row] = value if rows is None or not value.ndim \
+                    else value[rows]
+            stacked.append(block.reshape(-1))
+        blocks = [times.reshape(len(indices), -1)
+                  for times in evaluator(*stacked, *args)]
+        if rows is not None:
+            blocks = [block[:, run_of_row] for block in blocks]
+        for row, i in enumerate(indices):
+            per_slot[i] = tuple(block[row] for block in blocks)
 
     gemms = [i for i, slot in enumerate(slots)
              if isinstance(slot, GemmSlot)]
     if gemms:
-        times = vectorized.gemm_times(
-            np.concatenate([_slot_column(slots[i].m, n) for i in gemms]),
-            np.concatenate([_slot_column(slots[i].n, n) for i in gemms]),
-            np.concatenate([_slot_column(slots[i].k, n) for i in gemms]),
-            np.concatenate([_slot_column(slots[i].batch, n)
-                            for i in gemms]),
-            cluster.device, grid.precision, timing.gemm,
-        )
-        for row, i in enumerate(gemms):
-            durations[i] = times[row * n:(row + 1) * n]
-
-    ew_groups: dict = {}
+        evaluate(gemms, [[slots[i].m for i in gemms],
+                         [slots[i].n for i in gemms],
+                         [slots[i].k for i in gemms],
+                         [slots[i].batch for i in gemms]], gemm)
+    ew_groups: Dict[Tuple[str, float], List[int]] = {}
     for i, slot in enumerate(slots):
         if isinstance(slot, ElementwiseSlot):
             ew_groups.setdefault((slot.kind, slot.rw_factor),
                                  []).append(i)
     for (kind, rw_factor), indices in ew_groups.items():
-        times = vectorized.elementwise_times(
-            np.concatenate([_slot_column(slots[i].elements, n)
-                            for i in indices]),
-            cluster.device, grid.precision, rw_factor, kind,
-            timing.elementwise,
-        )
-        for row, i in enumerate(indices):
-            durations[i] = times[row * n:(row + 1) * n]
-
+        evaluate(indices, [[slots[i].elements for i in indices]],
+                 elementwise, kind, rw_factor)
     for overlapped in (False, True):
         comms = [i for i, slot in enumerate(slots)
                  if isinstance(slot, CommSlot)
                  and slot.overlappable == overlapped]
-        if not comms:
-            continue
-        times = vectorized.cluster_all_reduce_times(
-            np.concatenate([_slot_column(slots[i].nbytes, n)
-                            for i in comms]),
-            np.concatenate([_group_sizes(grid, slots[i]) for i in comms]),
-            cluster, overlapped=overlapped,
-        )
-        for row, i in enumerate(comms):
-            durations[i] = times[row * n:(row + 1) * n]
+        if comms:
+            evaluate(comms, [[slots[i].nbytes for i in comms],
+                             [_group_sizes(grid, slots[i]) for i in comms]],
+                     collective, overlapped, by_run=False)
+    return [list(output) for output in zip(*per_slot)]
+
+
+def _slot_durations(slots: Sequence[Slot], grid: ConfigGrid,
+                    cluster: ClusterSpec,
+                    timing: TimingModels) -> List[np.ndarray]:
+    """Ground-truth per-slot duration arrays: :func:`_stack_slots` with
+    the exact models of :mod:`repro.sim.vectorized`, each of which then
+    evaluates only its stack's distinct operator shapes."""
+    device, precision = cluster.device, grid.precision
+    (durations,) = _stack_slots(
+        slots, grid,
+        lambda *shape: (vectorized.gemm_times(*shape, device, precision,
+                                              timing.gemm),),
+        lambda elements, kind, rw_factor: (vectorized.elementwise_times(
+            elements, device, precision, rw_factor, kind,
+            timing.elementwise),),
+        lambda nbytes, group, overlapped: (
+            vectorized.cluster_all_reduce_times(nbytes, group, cluster,
+                                                overlapped),),
+    )
     return durations
 
 

@@ -17,13 +17,14 @@ envelopes per operator family instead of the exact fitted models:
   reuse_eff * wave_eff * k_eff * m_eff * split_penalty``, maximized over
   tile candidates, where every tile factor is <= 1.  The upper
   efficiency envelope drops the tile factors (``peak * k_eff * m_eff``);
-  the lower envelope evaluates the largest tile candidate directly with
-  SIMD ``pow`` (any single candidate under-approximates the max).  The
-  memory-roofline term and launch overhead are kept exactly, duration
-  bounds take ``max(compute, memory)`` from below and ``compute +
-  memory`` from above, and a relative :data:`_ENVELOPE_MARGIN` absorbs
-  the float re-association between the envelope formulas and the exact
-  model.
+  the lower one is the exact per-tile function
+  (:func:`repro.sim.vectorized._gemm_efficiency_for_tile`) at the
+  largest tile candidate, the first term of the exact model's maximum
+  and so a floor by construction.  The memory-roofline term and launch
+  overhead are kept exactly, duration bounds take ``max(compute,
+  memory)`` from below and ``compute + memory`` from above, and a
+  relative :data:`_ENVELOPE_MARGIN` absorbs the float re-association
+  between the envelope formulas and the exact model.
 * **Element-wise**: the jitter-free base *is* the exact base (identical
   code path, identical bits), so the interval is just ``base * (1 -
   amp)`` .. ``base * (1 + amp)`` with no margin: the jitter multiplier
@@ -34,7 +35,10 @@ envelopes per operator family instead of the exact fitted models:
   (multi-node) all-reduces jitter their three phases independently
   while the bound factors the summed base.
 
-Per-slot intervals propagate through
+The envelopes are the family evaluators of the batch engine's
+slot-stacking skeleton (:func:`repro.core.batch._stack_slots`), so the
+bounds stack slots, find runs and gather them exactly as the exact
+engine does.  Per-slot intervals propagate through
 :func:`repro.sim.vectorized.closed_form_breakdown` -- a composition of
 additions and maxima, monotone nondecreasing in every slot duration --
 by running it once on the lower durations and once on the upper ones.
@@ -63,9 +67,9 @@ import numpy as np
 
 from repro.core.batch import (
     ConfigGrid,
-    _group_sizes,
     _partitions,
     _slot_kind,
+    _stack_slots,
 )
 from repro.core.evolution import HardwareScenario
 from repro.core.gridplan import (
@@ -75,7 +79,7 @@ from repro.core.gridplan import (
 )
 from repro.core.projection import OperatorModelSuite
 from repro.hardware.cluster import ClusterSpec
-from repro.models.layers import CommSlot, ElementwiseSlot, GemmSlot, Slot
+from repro.models.layers import Slot
 from repro.sim import vectorized
 from repro.sim.executor import DEFAULT_TIMING, TimingModels
 
@@ -91,7 +95,7 @@ __all__ = [
 #: Version of the bound formulas.  Part of every chunk-bound cache key:
 #: bump it when any envelope changes so stale cached bounds can never
 #: mix with a newer pruning run.
-BOUND_MODEL_VERSION = 1
+BOUND_MODEL_VERSION = 2
 
 #: Metrics with admissible interval bounds (the stored breakdown columns
 #: plus the derived exposed-comm slack).  Fraction metrics are excluded:
@@ -175,47 +179,14 @@ class ChunkBounds:
 # -- per-family duration envelopes ---------------------------------------
 
 
-def _tile_product_floor(m: np.ndarray, n: np.ndarray, k: np.ndarray,
-                        batch: np.ndarray, model) -> np.ndarray:
-    """Under-approximation of the exact model's max-over-tiles product.
-
-    Evaluates ``tile_eff * reuse_eff * wave_eff * split_penalty`` for the
-    largest tile candidate only, with direct SIMD ``pow`` for the reuse
-    term.  The exact model maximizes the product over all candidates, so
-    any single candidate is a valid floor (up to pow's 1-ulp difference,
-    covered by :data:`_ENVELOPE_MARGIN`).
-    """
-    tile = model.TILE_CANDIDATES[0]
-    tile_m = vectorized._pow2_at_most(m, tile)
-    tile_n = vectorized._pow2_at_most(n, tile)
-    tiles_m = vectorized._ceil_div(m, tile_m)
-    tiles_n = vectorized._ceil_div(n, tile_n)
-    tile_eff = (m * n) / (tiles_m * tiles_n * tile_m * tile_n)
-    reuse_eff = np.power((tile_m * tile_n) / float(model.tile ** 2),
-                         model.TILE_REUSE_EXP / 2)
-    total_tiles = batch * tiles_m * tiles_n
-    split = np.maximum(
-        1, np.minimum(model.compute_units // total_tiles,
-                      k // model.SPLIT_K_MIN)
-    )
-    split_applies = (
-        (total_tiles < model.compute_units)
-        & (k > model.SPLIT_K_MIN)
-        & (split > 1)
-    )
-    total_tiles = np.where(split_applies, total_tiles * split, total_tiles)
-    split_penalty = np.where(split_applies, model.SPLIT_K_EFFICIENCY, 1.0)
-    waves = vectorized._ceil_div(total_tiles, model.compute_units)
-    wave_eff = total_tiles / (waves * model.compute_units)
-    return tile_eff * reuse_eff * wave_eff * split_penalty
-
-
 def _gemm_bound_durations(m, n, k, batch, device, precision,
                           model) -> Tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) duration arrays bracketing the exact GEMM model."""
-    m, n, k = (np.asarray(m, np.int64), np.asarray(n, np.int64),
-               np.asarray(k, np.int64))
-    batch = np.asarray(batch, np.int64)
+    """(lower, upper) duration arrays bracketing the exact GEMM model.
+
+    The upper duration uses the exact model's efficiency at its first
+    tile candidate: the exact model takes the maximum of that same
+    function over all candidates, so it is a floor by construction.
+    """
     flops = 2 * batch * m * n * k
     peak = device.flops(precision)
     k_eff = k / (k + model.k_half)
@@ -225,7 +196,8 @@ def _gemm_bound_durations(m, n, k, batch, device, precision,
     t_memory = bytes_moved / (device.mem_bw * device.peak_memory_efficiency)
     overhead = device.compute_launch_overhead
     lower = np.maximum(flops / (peak * eff_cap), t_memory) + overhead
-    eff_floor = eff_cap * _tile_product_floor(m, n, k, batch, model)
+    eff_floor = vectorized._gemm_efficiency_for_tile(
+        m, n, k, batch, device, model.TILE_CANDIDATES[0], model)
     upper = flops / (peak * eff_floor) + t_memory + overhead
     amp = model.jitter_amplitude
     return (lower * ((1.0 - amp) * (1.0 - _ENVELOPE_MARGIN)),
@@ -238,112 +210,39 @@ def _slot_bound_durations(
     cluster: ClusterSpec,
     timing: TimingModels,
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Per-slot (lower, upper) duration arrays, stacked per family.
+    """Per-slot (lower, upper) duration arrays: the batch engine's
+    :func:`~repro.core.batch._stack_slots` with the family envelopes.
 
-    Mirrors :func:`repro.core.batch._slot_durations` slot-for-slot, with
-    the exact timing models replaced by the family envelopes.  The
-    jitter-free element-wise and collective envelopes call the per-row
-    evaluators of :mod:`repro.sim.vectorized` directly: with no jitter
-    to hash, their arithmetic is cheaper than factorizing the rows into
-    distinct shapes.
+    The jitter-free element-wise and collective envelopes call the
+    per-row evaluators of :mod:`repro.sim.vectorized` directly: with no
+    jitter to hash, their arithmetic is cheaper than factorizing the
+    rows into distinct shapes.
     """
-    n = int(grid.hidden.shape[0])
-    lowers: List[Optional[np.ndarray]] = [None] * len(slots)
-    uppers: List[Optional[np.ndarray]] = [None] * len(slots)
-    if n == 0:
-        empty = np.zeros(0, dtype=np.float64)
-        return [empty] * len(slots), [empty] * len(slots)
-
-    # Compute-family slot shapes never involve dp -- the fastest-varying
-    # product axis -- so on grid chunks consecutive rows repeat the same
-    # (H, SL, B, TP, heads, FFN) tuple.  Dedupe those runs once and
-    # evaluate the (dominant) GEMM/element-wise envelope math on the
-    # unique rows only: the math is elementwise, so expanding the
-    # results back by run is bit-identical to evaluating every row.
-    # heads/FFN must be part of the run key: ``from_models`` grids can
-    # put models with equal (H, SL, B, TP) but different head counts on
-    # adjacent rows, and head count changes the attention GEMM shapes.
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    change[1:] = False
-    for col in (grid.hidden, grid.seq_len, grid.batch, grid.tp,
-                grid.num_heads, grid.ffn_dim):
-        change[1:] |= col[1:] != col[:-1]
-    starts = np.flatnonzero(change)
-    n_unique = int(starts.size)
-    inverse = (np.cumsum(change) - 1) if n_unique < n else None
-
-    def compress(value: object) -> object:
-        if inverse is None:
-            return value
-        arr = np.asarray(value)
-        return arr[starts] if arr.ndim else value
-
-    def stack(values: List[object], width: int) -> np.ndarray:
-        """Stack per-slot scalar-or-array values into one flat int64 row
-        block; numpy broadcasts scalars in the C fill, so this skips the
-        per-slot ``_slot_column`` views the exact engine uses."""
-        out = np.empty((len(values), width), dtype=np.int64)
-        for row, value in enumerate(values):
-            out[row] = value
-        return out.reshape(-1)
-
-    def unstack(times: np.ndarray, indices: List[int],
-                out: List[Optional[np.ndarray]],
-                expand: bool = False) -> None:
-        if expand and inverse is not None:
-            times = times.reshape(len(indices), n_unique)[:, inverse]
-            times = times.reshape(-1)
-        for row, i in enumerate(indices):
-            out[i] = times[row * n:(row + 1) * n]
-
-    gemms = [i for i, slot in enumerate(slots)
-             if isinstance(slot, GemmSlot)]
-    if gemms:
-        lo, up = _gemm_bound_durations(
-            stack([compress(slots[i].m) for i in gemms], n_unique),
-            stack([compress(slots[i].n) for i in gemms], n_unique),
-            stack([compress(slots[i].k) for i in gemms], n_unique),
-            stack([compress(slots[i].batch) for i in gemms], n_unique),
-            cluster.device, grid.precision, timing.gemm,
-        )
-        unstack(lo, gemms, lowers, expand=True)
-        unstack(up, gemms, uppers, expand=True)
-
+    device, precision = cluster.device, grid.precision
     ew_quiet = timing.elementwise.without_jitter()
     ew_amp = timing.elementwise.jitter_amplitude
-    ew_groups: dict = {}
-    for i, slot in enumerate(slots):
-        if isinstance(slot, ElementwiseSlot):
-            ew_groups.setdefault((slot.kind, slot.rw_factor), []).append(i)
-    for (kind, rw_factor), indices in ew_groups.items():
-        base = vectorized._elementwise_times(
-            stack([compress(slots[i].elements) for i in indices],
-                  n_unique),
-            cluster.device, grid.precision, rw_factor, kind, ew_quiet,
-        )
-        unstack(base * (1.0 - ew_amp), indices, lowers, expand=True)
-        unstack(base * (1.0 + ew_amp), indices, uppers, expand=True)
-
     comm_amp = cluster.collective_model.jitter_amplitude
-    comm_lo = (1.0 - comm_amp) * (1.0 - _ENVELOPE_MARGIN)
-    comm_up = (1.0 + comm_amp) * (1.0 + _ENVELOPE_MARGIN)
     quiet_cluster = replace(
         cluster, collective_model=cluster.collective_model.without_jitter()
     )
-    for overlapped in (False, True):
-        comms = [i for i, slot in enumerate(slots)
-                 if isinstance(slot, CommSlot)
-                 and slot.overlappable == overlapped]
-        if not comms:
-            continue
+
+    def elementwise(elements, kind, rw_factor):
+        base = vectorized._elementwise_times(elements, device, precision,
+                                             rw_factor, kind, ew_quiet)
+        return base * (1.0 - ew_amp), base * (1.0 + ew_amp)
+
+    def collective(nbytes, group, overlapped):
         base = vectorized._cluster_all_reduce_times(
-            stack([slots[i].nbytes for i in comms], n).astype(np.float64),
-            stack([_group_sizes(grid, slots[i]) for i in comms], n),
-            quiet_cluster, overlapped,
-        )
-        unstack(base * comm_lo, comms, lowers)
-        unstack(base * comm_up, comms, uppers)
+            nbytes.astype(np.float64), group, quiet_cluster, overlapped)
+        return (base * ((1.0 - comm_amp) * (1.0 - _ENVELOPE_MARGIN)),
+                base * ((1.0 + comm_amp) * (1.0 + _ENVELOPE_MARGIN)))
+
+    lowers, uppers = _stack_slots(
+        slots, grid,
+        lambda *shape: _gemm_bound_durations(*shape, device, precision,
+                                             timing.gemm),
+        elementwise, collective,
+    )
     return lowers, uppers
 
 

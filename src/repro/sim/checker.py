@@ -18,7 +18,9 @@ module keeps them honest with five layers:
 2. **Differential oracle** (:func:`differential_oracle`): seeded random
    ``(H, SL, B, TP, DP)`` configurations run through the scalar engine,
    the batch engine, and the closed-form operation/byte-count laws of
-   :mod:`repro.core.flops` as a third reference.  The first divergent
+   :mod:`repro.core.flops` as a third reference.  Each config brings
+   run siblings (other DP degrees, twice the heads) so the batch
+   engine's per-run evaluation is exercised too.  The first divergent
    configuration is reported with an op-level duration diff
    (:class:`OpDiff`) instead of a bare assert.
 
@@ -233,17 +235,19 @@ class OracleReport:
 
     Attributes:
         configs: Number of configurations requested.
-        checked: Configurations compared before stopping (all of them
-            when no divergence was found).
+        checked: Seeded configurations compared before stopping (all
+            of them when no divergence was found).
         seed: RNG seed the configs were generated from.
         divergence: The first divergence, or None when the engines agree
             everywhere.
+        siblings: Run siblings (:func:`_run_siblings`) compared.
     """
 
     configs: int
     checked: int
     seed: int
     divergence: Optional[Divergence] = None
+    siblings: int = 0
 
     @property
     def ok(self) -> bool:
@@ -253,7 +257,7 @@ class OracleReport:
         if self.ok:
             return (f"differential oracle: OK -- scalar and batch engines "
                     f"agree bit-for-bit on {self.checked} seeded configs "
-                    f"(seed {self.seed})")
+                    f"and {self.siblings} run siblings (seed {self.seed})")
         return (f"differential oracle: FAIL after {self.checked} configs "
                 f"(seed {self.seed})\n{self.divergence.describe()}")
 
@@ -323,6 +327,20 @@ def _op_diffs(trace, model: ModelConfig, parallel: ParallelConfig,
     return tuple(diffs)
 
 
+def _run_siblings(pairs: Sequence[Tuple[ModelConfig, ParallelConfig]]
+                  ) -> List[Tuple[ModelConfig, ParallelConfig]]:
+    """Per config: the model at DP 2 and 16 (one batch-engine run, two DP
+    groups), then with twice the heads at DP 16 (same H/SL/B/TP, new run).
+    """
+    rows: List[Tuple[ModelConfig, ParallelConfig]] = []
+    for model, parallel in pairs:
+        doubled = replace(model, num_heads=2 * model.num_heads)
+        rows += [(model, replace(parallel, dp=2)),
+                 (model, replace(parallel, dp=16)),
+                 (doubled, replace(parallel, dp=16))]
+    return rows
+
+
 def differential_oracle(
     n: int = 200,
     seed: int = 0,
@@ -334,9 +352,10 @@ def differential_oracle(
     Every configuration is (a) executed by the scalar engine and checked
     against the full invariant catalogue, (b) evaluated by the vectorized
     batch engine and compared bit-for-bit, and (c) cross-checked against
-    the closed-form operation/byte-count laws.  Stops at the first
-    divergent configuration and reports it with an op-level duration
-    diff.
+    the closed-form operation/byte-count laws, and so is every config's
+    run siblings (:func:`_run_siblings`), appended after the configs.
+    Stops at the first divergent row and reports it with an op-level
+    duration diff.
     """
     from repro.core.batch import ConfigGrid, batch_execute
 
@@ -344,31 +363,31 @@ def differential_oracle(
         raise ValueError("n must be >= 1")
     cluster = cluster if cluster is not None else mi210_node()
     pairs = random_configs(n, seed)
-    grid = ConfigGrid.from_models(pairs)
-    batched = batch_execute(grid, cluster, timing)
-    checked = 0
-    for index, (model, parallel) in enumerate(pairs):
+    rows = pairs + _run_siblings(pairs)
+    batched = batch_execute(ConfigGrid.from_models(rows), cluster, timing)
+    for index, (model, parallel) in enumerate(rows):
         trace = layer_trace(model, parallel)
         result = execute_trace(trace, cluster, timing)
         violations = execution_violations(result)
         violations.extend(_closed_form_violations(trace, model, parallel))
         scalar_breakdown = result.breakdown
         batch_breakdown = batched.at(index)
-        checked += 1
         if scalar_breakdown != batch_breakdown or violations:
             op_diffs = ()
             if scalar_breakdown != batch_breakdown:
                 op_diffs = _op_diffs(trace, model, parallel, cluster,
                                      timing)
             return OracleReport(
-                configs=n, checked=checked, seed=seed,
+                configs=n, checked=min(index + 1, n), seed=seed,
+                siblings=max(0, index + 1 - n),
                 divergence=Divergence(
                     index=index, model=model, parallel=parallel,
                     scalar=scalar_breakdown, batch=batch_breakdown,
                     op_diffs=op_diffs, violations=tuple(violations),
                 ),
             )
-    return OracleReport(configs=n, checked=checked, seed=seed)
+    return OracleReport(configs=n, checked=n, seed=seed,
+                        siblings=len(rows) - n)
 
 
 # -- fault seeding -------------------------------------------------------

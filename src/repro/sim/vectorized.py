@@ -21,12 +21,14 @@ Dedupe -> evaluate -> gather: :func:`gemm_times`,
 their inputs, factorize the rows (by bit pattern) into distinct operator
 shapes, run the formulas -- jitter key building and hashing included --
 on the distinct rows only, and gather the results back through the
-inverse index.  Sweep grids repeat shapes heavily (in the pruned
-design-space search, 1 in 11 stacked GEMM rows, 1 in 27 collective rows
-and 1 in 65 element-wise rows is distinct), and every formula is
-element-wise, so the gathered result is bit-identical to evaluating
-every row.  The per-row evaluators (``_gemm_times`` and friends) are
-what :mod:`repro.core.bounds` calls for its jitter-free envelopes, whose
+inverse index.  Every formula is element-wise, so the gathered result
+is bit-identical to evaluating every row.  The batch engine passes one
+row per run of rows differing only in DP, but shapes still recur
+across slots and runs, and jitter keys dominate: without this dedupe
+the exhaustive 100,800-point design-space sweep ran ~1.7x slower (one
+worker, 2-vCPU host).  The
+per-row evaluators (``_elementwise_times`` and friends) are what
+:mod:`repro.core.bounds` calls for its jitter-free envelopes, whose
 cheap arithmetic would not repay the factorization.
 
 :func:`closed_form_breakdown` replaces the discrete-event scheduler for

@@ -4,7 +4,8 @@
 writes a markdown reference built from the live docstrings: one section
 per module, with each public class and function's signature and summary
 paragraph.  Because it reads the imported objects, the reference can
-never drift from the code.
+never drift from the code, and it holds no checkout path, so it renders
+the same from any clone.
 
 Modules that set ``__apidoc_full__ = True`` (e.g.
 :mod:`repro.core.invariants`, whose docstring catalogues every engine
@@ -14,12 +15,12 @@ summary paragraph.
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import pkgutil
-import sys
 from pathlib import Path
-from typing import Iterator, List
+from typing import Iterator, List, Optional, Sequence
 
 import repro
 
@@ -27,8 +28,9 @@ __all__ = ["iter_module_names", "render_module", "render_reference",
            "write_reference"]
 
 
-def iter_module_names(package=repro) -> Iterator[str]:
-    """Importable module names under a package, sorted, recursively."""
+def iter_module_names(package=None) -> Iterator[str]:
+    """Module names under ``package`` (default :mod:`repro`), sorted."""
+    package = package or repro
     names = [package.__name__]
     for info in pkgutil.walk_packages(package.__path__,
                                       prefix=f"{package.__name__}."):
@@ -114,12 +116,12 @@ def write_reference(path: Path) -> Path:
     return path
 
 
-def main() -> None:
-    target = Path(sys.argv[1]) if len(sys.argv) > 1 else (
-        Path("docs/API.md")
-    )
-    written = write_reference(target)
-    print(f"wrote {written}")
+def main(argv: Optional[Sequence[str]] = None) -> None:
+    parser = argparse.ArgumentParser(prog="python -m repro.tools.apidocs",
+                                     description="Write the API reference.")
+    parser.add_argument("path", nargs="?", type=Path,
+                        default=Path("docs/API.md"))
+    print(f"wrote {write_reference(parser.parse_args(argv).path)}")
 
 
 if __name__ == "__main__":

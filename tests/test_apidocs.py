@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.tools import apidocs
+
+_SRC = Path(repro.__file__).resolve().parent.parent
 
 
 class TestModuleWalk:
@@ -39,3 +47,29 @@ class TestRendering:
         target = apidocs.write_reference(tmp_path / "docs" / "API.md")
         assert target.exists()
         assert "repro API reference" in target.read_text()
+
+    def test_reference_holds_no_checkout_path(self):
+        # A default argument that is a module renders with its file path,
+        # so the reference would differ between two clones.
+        section = apidocs.render_module("repro.tools.apidocs")
+        assert "iter_module_names(package=None)" in section
+        assert "<module" not in section
+        assert str(_SRC) not in section
+
+
+class TestCommandLine:
+    def test_help_prints_usage_and_writes_nothing(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(_SRC), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.tools.apidocs", "--help"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writes_the_given_path(self, tmp_path, capsys):
+        apidocs.main([str(tmp_path / "API.md")])
+        assert "repro API reference" in (tmp_path / "API.md").read_text()
+        assert "wrote" in capsys.readouterr().out

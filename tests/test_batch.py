@@ -27,6 +27,7 @@ from repro.core.batch import (
 )
 from repro.core.evolution import PAPER_SCENARIOS, HardwareScenario, \
     scale_durations
+from repro.core.gridplan import GridSpec, MaxWorldSize
 from repro.core.hyperparams import ModelConfig, ParallelConfig, Precision
 from repro.core.projection import fit_operator_models
 from repro.core.roi import overlap_roi_timing
@@ -149,6 +150,62 @@ def test_random_grids_match_scalar(cluster):
                                             dp=rng.choice([1, 2, 8, 16]))))
     grid = ConfigGrid.from_models(pairs)
     assert_matches_scalar(batch_execute(grid, cluster), grid, cluster)
+
+
+# -- run-level evaluation: rows that share GEMM/element-wise shapes ----
+
+
+def assert_rows_equal_scalar(grid: ConfigGrid, cluster) -> None:
+    """Every row's breakdown equals the scalar reference exactly (==)."""
+    breakdown = batch_execute(grid, cluster)
+    for index in range(len(grid)):
+        scalar = execute_trace(layer_trace(*grid.at(index)),
+                               cluster).breakdown
+        assert breakdown.at(index) == scalar, f"row {index}"
+
+
+def siblings(grid: ConfigGrid, differ: str) -> int:
+    """Adjacent same-parity rows that differ in column ``differ`` only."""
+    columns = ("hidden", "seq_len", "batch", "tp", "dp", "num_heads",
+               "ffn_dim")
+    same = np.ones(len(grid) - 1, dtype=bool)
+    for name in columns:
+        column = getattr(grid, name)
+        equal = column[1:] == column[:-1]
+        same &= ~equal if name == differ else equal
+    return int(same.sum())
+
+
+def test_grid_chunk_runs_across_dp_match_scalar(cluster):
+    """GEMM and element-wise slots are evaluated once per run of rows
+    that differ only in ``dp``; the DP all-reduces on every row."""
+    spec = GridSpec(hidden=(1024, 2048), seq_len=(256, 512),
+                    batch=(1, 2), tp=(1, 2, 4), dp=(1, 2, 4, 8),
+                    constraints=(MaxWorldSize(16),))
+    grid = spec.chunk(1, chunk_size=48).grid
+    dp_parallel = grid.dp > 1
+    assert (grid.tp[dp_parallel] > 1).any()
+    assert (grid.tp[dp_parallel] == 1).any()
+    assert siblings(grid.subset(dp_parallel), "dp") >= 12
+    assert_rows_equal_scalar(grid, cluster)
+
+
+def test_model_grid_head_siblings_match_scalar(cluster):
+    """Adjacent rows differing only in head count are separate runs."""
+    def pair(hidden, heads, tp, dp):
+        return (ModelConfig(name=f"h{hidden}-a{heads}", hidden=hidden,
+                            seq_len=256, batch=2, num_heads=heads),
+                ParallelConfig(tp=tp, dp=dp))
+
+    grid = ConfigGrid.from_models([
+        pair(1024, 8, 1, 1), pair(1024, 16, 1, 1),
+        pair(1024, 8, 2, 1), pair(1024, 16, 2, 1),
+        pair(1024, 8, 1, 4), pair(1024, 32, 1, 4),
+        pair(2048, 16, 4, 2), pair(2048, 64, 4, 2),
+        pair(2048, 64, 4, 4),
+    ])
+    assert siblings(grid, "num_heads") == 4
+    assert_rows_equal_scalar(grid, cluster)
 
 
 # -- edge cases ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import shutil
@@ -46,3 +47,31 @@ def test_partial_runs_keep_each_others_entries(tmp_path):
     assert results["extra"]["second"]["value"] == 1
     entries = results["benchmarks"] + list(results["extra"].values())
     assert all("git_sha" in entry for entry in entries)
+
+
+def _merge_results():
+    path = _REPO_ROOT / "benchmarks" / "conftest.py"
+    spec = importlib.util.spec_from_file_location("bench_conftest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.merge_results
+
+
+def test_top_level_fields_come_from_the_current_run():
+    previous = {
+        "git_sha": "old", "python": "3.9.0", "retired_field": 1,
+        "benchmarks": [{"name": "kept", "mean": 1.0, "git_sha": "old"}],
+        "extra": {"kept": {"value": 0, "git_sha": "old"}},
+    }
+    run = {"git_sha": "new", "python": "3.11.7", "exit_status": 0,
+           "benchmarks": [{"name": "fresh", "mean": 2.0}],
+           "extra": {"fresh": {"value": 1}}}
+    merged = _merge_results()(previous, run)
+    assert "retired_field" not in merged
+    assert {key: merged[key] for key in ("git_sha", "python",
+                                         "exit_status")} == {
+        "git_sha": "new", "python": "3.11.7", "exit_status": 0}
+    assert [entry["name"] for entry in merged["benchmarks"]] == [
+        "fresh", "kept"]
+    assert merged["extra"] == {"kept": {"value": 0, "git_sha": "old"},
+                               "fresh": {"value": 1, "git_sha": "new"}}

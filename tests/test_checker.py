@@ -121,6 +121,14 @@ class TestDifferentialOracle:
         assert report.checked == 40
         assert "OK" in report.summary()
 
+    def test_checks_run_siblings(self):
+        # Each seeded config adds three rows sharing batch-engine runs:
+        # two DP degrees, then twice the heads.
+        report = differential_oracle(n=4, seed=7)
+        assert report.ok, report.summary()
+        assert (report.checked, report.siblings) == (4, 12)
+        assert "12 run siblings" in report.summary()
+
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError, match="n must be"):
             differential_oracle(n=0)
